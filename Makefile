@@ -1,6 +1,10 @@
 # Development entry points. `make check` is the gate a change must pass:
-# static analysis, a full build, the unit/property suites under the race
-# detector, and the golden-file regression corpus.
+# static analysis, a full build, every suite under the race detector (the
+# golden corpus and the full-size soaks included), the zero-alloc guards
+# the race build cannot run, the reduced soak goldens, the out-of-process
+# serving smoke and the benchmark regression gate. The focused walls
+# (batch, warm, golden, soak, stream, crash) re-run subsets of `race` and
+# stay available for iterating on one area.
 
 GO ?= go
 
@@ -111,8 +115,8 @@ shard:
 	$(GO) test -race ./internal/expt -run 'TestShardSoak' -short -count=1
 
 # Streaming soak, reduced schedule, under the race detector: two culpeod
-# instances behind flapping netchaos links, session.LoadGen driving full
-# device lifecycles (open, stream, detach, resume, close) through
+# instances behind flapping netchaos links, the soak's device driver running
+# full device lifecycles (open, stream, detach, resume, close) through
 # client.Stream, gated on zero failed sessions, exactly one terminal each,
 # bit-exact estimate/margin/HTTP parity, bounded heap per resident session
 # and zero server panics. For the full-length soak (100k sessions) run:
@@ -131,4 +135,4 @@ crash:
 	$(GO) test -race ./internal/expt -run 'TestCrashSoak' -short -count=1
 	$(GO) test ./internal/journal -count=1
 
-check: vet build alloc batch warm race golden soak serve-smoke chaos shard stream crash benchgate
+check: vet build alloc race serve-smoke chaos shard benchgate

@@ -1,4 +1,4 @@
-package serve
+package expt
 
 import (
 	"context"

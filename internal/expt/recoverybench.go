@@ -60,7 +60,7 @@ func RecoveryBench(ctx context.Context, sessions, obsPerSession int) (*RecoveryR
 	model := capybaraModel(powersys.Capybara())
 	cfg := session.Config{MaxSessions: sessions + 64, Ring: 8, Journal: j}
 	tbl := session.NewTable(cfg)
-	rng := rand.New(rand.NewSource(42))
+	src := streamDevice{rng: rand.New(rand.NewSource(42))}
 	for i := 0; i < sessions; i++ {
 		if err := ctx.Err(); err != nil {
 			j.Close()
@@ -72,8 +72,7 @@ func RecoveryBench(ctx context.Context, sessions, obsPerSession int) (*RecoveryR
 			return nil, fmt.Errorf("recovery: attach %s: %w", dev, err)
 		}
 		obs := make([]api.StreamObservation, obsPerSession)
-		for k := range obs {
-			sm := genCrashSample(rng)
+		for k, sm := range src.samples(obsPerSession) {
 			obs[k] = api.StreamObservation{Seq: uint64(k + 1), VStart: sm.VStart, VMin: sm.VMin, VFinal: sm.VFinal, Failed: sm.Failed}
 		}
 		if _, err := tbl.Fold(dev, obs, false); err != nil {

@@ -137,10 +137,6 @@ type BatchOptions struct {
 	// Fast selects the analytic fast lane (bounded < 1 mV, identical
 	// verdicts) instead of the byte-exact lockstep lane.
 	Fast bool
-	// FixedPoint selects the Q16.16/Q32.32 integer evaluation lane (see
-	// batch_fixed.go). Single-branch shapes only; an evaluation substrate,
-	// not a replacement for either float lane.
-	FixedPoint bool
 	// Ctx, when non-nil, cancels the batch: the lockstep loop polls every
 	// ctxCheckInterval rounds and finalizes the remaining lanes with the
 	// context's error (run phase) or their current voltage (settle phase).
@@ -370,15 +366,12 @@ func (bs *BatchSystem) Reset() {
 
 // Run advances every lane to completion and returns the lane-indexed
 // results (the same slice Results reports). The default lane is the
-// byte-exact lockstep stepper; BatchOptions.Fast selects the analytic lane
-// and BatchOptions.FixedPoint the integer evaluation lane. Run consumes the
-// prepared state — call Reset before running the batch again.
+// byte-exact lockstep stepper; BatchOptions.Fast selects the analytic
+// lane. Run consumes the prepared state — call Reset before running the
+// batch again.
 func (bs *BatchSystem) Run(opt BatchOptions) []RunResult {
 	for _, l := range bs.active {
 		bs.res[l].VStart = bs.lastVT[l]
-	}
-	if opt.FixedPoint {
-		return bs.runFixed(opt)
 	}
 	if opt.Fast {
 		return bs.runFastLanes(opt)

@@ -372,52 +372,6 @@ func TestCompiledProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchFixedPointLane evaluates the Q16.16/Q32.32 integer lane: on
-// single-branch scenarios with healthy margins it must agree with the
-// exact stepper on the verdict and track the voltages to within the
-// format's accumulated quantization (a few mV); multi-branch batches must
-// report ErrFixedPointShape rather than guess.
-func TestBatchFixedPointLane(t *testing.T) {
-	cfg := equivCfg(t, false)
-	scens := []BatchScenario{
-		{Profile: load.NewUniform(25e-3, 10e-3), VStart: 2.4}, // completes with margin
-		{Profile: load.NewUniform(10e-3, 5e-3), VStart: 2.0},  // completes
-		{Profile: load.LoRa(), VStart: 1.75},                  // reliably browns out
-		{Profile: load.NewUniform(50e-3, 20e-3), VStart: 2.5, Harvest: 5e-3},
-	}
-	opt := BatchOptions{SkipRebound: true}
-	bs, err := NewBatch(cfg, scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := append([]RunResult(nil), bs.Run(BatchOptions{SkipRebound: true, FixedPoint: true})...)
-	for l, sc := range scens {
-		want := scalarReference(t, cfg, sc, opt, false)
-		got := fixed[l]
-		name := fmt.Sprintf("fixed/lane%d/%s", l, sc.Profile.Name())
-		if want.Completed != got.Completed || want.PowerFailed != got.PowerFailed {
-			t.Fatalf("%s: verdict mismatch: exact completed=%v, fixed completed=%v",
-				name, want.Completed, got.Completed)
-		}
-		const fixedTol = 15e-3 // Q16.16 LSB is ~15 µV; tick-by-tick rounding accumulates
-		if d := math.Abs(want.VMin - got.VMin); d > fixedTol {
-			t.Errorf("%s: VMin diverged %.4f vs %.4f (Δ %.2g V)", name, want.VMin, got.VMin, d)
-		}
-		if d := math.Abs(want.VEndImmediate - got.VEndImmediate); d > fixedTol {
-			t.Errorf("%s: VEnd diverged %.4f vs %.4f (Δ %.2g V)", name, want.VEndImmediate, got.VEndImmediate, d)
-		}
-	}
-
-	multi, err := NewBatch(equivCfg(t, true), []BatchScenario{{Profile: load.LoRa(), VStart: 2.2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := multi.Run(BatchOptions{SkipRebound: true, FixedPoint: true})
-	if !errors.Is(res[0].Err, ErrFixedPointShape) {
-		t.Fatalf("multi-branch fixed-point lane: got err %v, want ErrFixedPointShape", res[0].Err)
-	}
-}
-
 // fuzzProfile derives a small load profile from the fuzzer's entropy.
 func fuzzProfile(rng *rand.Rand) load.Profile {
 	switch rng.Intn(4) {
