@@ -176,11 +176,11 @@ func (r *ShardSoakReport) Render(w io.Writer) error {
 
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	tbl := Table{Title: "shards (final)", Header: []string{
-		"shard", "attempts", "ok", "fail", "probes", "probe-fails", "breaker", "ejected", "shard_id", "epoch", "version"}}
+		"shard", "attempts", "ok", "fail", "probes", "probe-fails", "breaker", "ejected", "shard_id", "epoch"}}
 	for _, sm := range r.Shards {
 		b := sm.Pool.Backends[0]
 		tbl.Add(sm.Shard.ID, u(b.Attempts), u(b.Successes), u(b.Failures), u(b.Probes), u(b.ProbeFails),
-			b.BreakerState, strconv.FormatBool(b.Ejected), b.ShardID, u(b.TopologyEpoch), b.Version)
+			b.BreakerState, strconv.FormatBool(b.Ejected), b.ShardID, u(b.TopologyEpoch))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
