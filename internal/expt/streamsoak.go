@@ -81,8 +81,8 @@ const (
 
 // StreamOpts configures a streaming soak run.
 type StreamOpts struct {
-	// Reduced selects the `make stream` -race configuration: 2,000
-	// sessions instead of the 100,000-session full soak.
+	// Reduced selects the 2,000-session soak instead of the
+	// 100,000-session full one.
 	Reduced bool
 	// Sessions overrides the device count (<=0: mode default).
 	Sessions int
