@@ -49,7 +49,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		timeout      = fs.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 		cacheSize    = fs.Int("cache-size", 0, "V_safe cache entries (0 = default)")
 		workers      = fs.Int("workers", 0, "batch sweep workers (0 = GOMAXPROCS)")
-		scalarBatch  = fs.Bool("scalar-batch", false, "run /v1/batch simulations one-by-one instead of on the SoA lockstep stepper")
 		shardID      = fs.String("shard-id", "", "shard identity advertised on /healthz and /metrics (empty = standalone)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "hard deadline for graceful drain")
 
@@ -111,7 +110,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		Timeout:     *timeout,
 		CacheSize:   *cacheSize,
 		Workers:     *workers,
-		ScalarBatch: *scalarBatch,
 		ShardID:     *shardID,
 
 		MaxSessions:       *maxSessions,

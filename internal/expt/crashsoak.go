@@ -66,8 +66,8 @@ const (
 
 // CrashOpts configures one crash-chaos soak run.
 type CrashOpts struct {
-	// Reduced selects the `make crash` -race configuration: 5 kill cycles
-	// over 8 devices instead of the full 20 over 16.
+	// Reduced selects 5 kill cycles over 8 devices instead of the full 20
+	// over 16. (`make crash` shrinks it further, to 3 over 6.)
 	Reduced bool
 	// Cycles overrides the SIGKILL cycle count (<=0: mode default).
 	Cycles int

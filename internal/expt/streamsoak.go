@@ -326,9 +326,7 @@ func (r *streamRun) run(ctx context.Context) {
 		r.res.EventsPerSec = float64(r.events) / r.res.DurationSec
 	}
 	sort.Float64s(r.latencies)
-	if n := len(r.latencies); n > 0 {
-		r.res.P99EventMs = r.latencies[min((99*n)/100, n-1)]
-	}
+	r.res.P99EventMs = quantile(r.latencies, 0.99)
 	for i := range r.devs {
 		st := r.devs[i].stream
 		if st == nil {

@@ -74,11 +74,6 @@ type Config struct {
 	// Workers bounds the sweep pool a batch request fans out over (<=0:
 	// GOMAXPROCS).
 	Workers int
-	// ScalarBatch routes batch simulations through the scalar per-element
-	// path instead of the SoA lockstep batch stepper — the fallback knob
-	// for shapes the batch lane mishandles (none known; the equivalence
-	// suite pins the lanes byte-identical).
-	ScalarBatch bool
 	// Catalog resolves PowerSpec.Part (nil: partsdb.DefaultIndex()).
 	Catalog *partsdb.Index
 	// ShardID names this node's slot in a sharded deployment ("" for a
@@ -878,32 +873,30 @@ func (s *Server) simulateBatch(ctx context.Context, reqs []SimulateRequest) ([]B
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !s.cfg.ScalarBatch {
-			scens := make([]powersys.BatchScenario, len(chunk))
-			for j, ln := range chunk {
-				cfg := ln.rs.cfg
-				scens[j] = powersys.BatchScenario{
-					Profile: ln.rs.prof,
-					Config:  &cfg,
-					VStart:  ln.rs.vStart,
-					Harvest: ln.rs.harvest,
-				}
+		scens := make([]powersys.BatchScenario, len(chunk))
+		for j, ln := range chunk {
+			cfg := ln.rs.cfg
+			scens[j] = powersys.BatchScenario{
+				Profile: ln.rs.prof,
+				Config:  &cfg,
+				VStart:  ln.rs.vStart,
+				Harvest: ln.rs.harvest,
 			}
-			bs, err := powersys.NewBatch(chunk[0].rs.cfg, scens)
-			if err == nil {
-				results := bs.Run(powersys.BatchOptions{SkipRebound: true, Fast: useFast, Ctx: ctx})
-				resps := make([]SimulateResponse, len(chunk))
-				for j := range chunk {
-					if err := ctxFailure(results[j]); err != nil {
-						return nil, err
-					}
-					resps[j] = simResponse(results[j])
-				}
-				return resps, nil
-			}
-			// Shape the batch lane cannot hold (mixed timesteps, branch
-			// counts): fall back to the scalar path below.
 		}
+		bs, err := powersys.NewBatch(chunk[0].rs.cfg, scens)
+		if err == nil {
+			results := bs.Run(powersys.BatchOptions{SkipRebound: true, Fast: useFast, Ctx: ctx})
+			resps := make([]SimulateResponse, len(chunk))
+			for j := range chunk {
+				if err := ctxFailure(results[j]); err != nil {
+					return nil, err
+				}
+				resps[j] = simResponse(results[j])
+			}
+			return resps, nil
+		}
+		// Shape the batch lane cannot hold (mixed timesteps, branch
+		// counts): fall back to the scalar path below.
 		resps := make([]SimulateResponse, len(chunk))
 		for j, ln := range chunk {
 			r, err := simulateScalar(ctx, ln.rs)

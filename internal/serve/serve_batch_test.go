@@ -113,22 +113,6 @@ func TestBatchSimulateErrorsInPlace(t *testing.T) {
 	}
 }
 
-// TestBatchSimulateScalarFallback: with the ScalarBatch knob set, batch
-// simulations take the per-element scalar path and still answer
-// bit-identically — the fallback changes the engine, never the contract.
-func TestBatchSimulateScalarFallback(t *testing.T) {
-	_, ts := newTestServer(t, Config{ScalarBatch: true})
-	reqs := simCorpus()
-	got := decodeResp[BatchResponse](t, postJSON(t, ts.URL+"/v1/batch", BatchRequest{Simulations: reqs}), http.StatusOK)
-	for i, req := range reqs {
-		if got.Simulations[i].Result == nil {
-			t.Fatalf("element %d missing result", i)
-		}
-		want := decodeResp[SimulateResponse](t, postJSON(t, ts.URL+"/v1/simulate", req), http.StatusOK)
-		checkSimParity(t, req.Load.Shape+req.Load.Peripheral, *got.Simulations[i].Result, want, true)
-	}
-}
-
 // TestBatchSimulateSizeCap: the cap counts estimate and simulation
 // elements together.
 func TestBatchSimulateSizeCap(t *testing.T) {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -521,23 +522,27 @@ func TestRouterMetrics(t *testing.T) {
 	}
 }
 
-// TestShardLoadTestSmoke: the throughput rig completes a small run with
-// zero failures and full accounting.
-func TestShardLoadTestSmoke(t *testing.T) {
-	res, err := LoadTest(context.Background(), LoadTestOptions{
-		Shards:        2,
-		WorkingSet:    16,
-		PerShardCache: 8,
-		Requests:      64,
-		Concurrency:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
+// workItem is one precomputed routed query: route key plus marshaled body.
+type workItem struct {
+	key  uint64
+	body []byte
+}
+
+// buildWork returns n distinct uniform estimate queries, each its own
+// trace fingerprint and so its own route key.
+func buildWork(n int) ([]workItem, error) {
+	items := make([]workItem, n)
+	for i := range items {
+		req := api.VSafeRequest{Load: api.LoadSpec{Shape: "uniform", I: float64(i+1) * 0.5e-3, T: 50e-3}}
+		model, trace, err := serve.Fingerprints(req, nil)
+		if err != nil {
+			return nil, err
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = workItem{key: Key(model, trace), body: body}
 	}
-	if res.Failures != 0 || res.Requests != 64 {
-		t.Fatalf("result = %+v, want 64 requests, 0 failures", res)
-	}
-	if res.ThroughputRPS <= 0 {
-		t.Fatalf("throughput = %v", res.ThroughputRPS)
-	}
+	return items, nil
 }
