@@ -177,19 +177,36 @@ const SampleRateDefault = 125e3
 
 // Sample discretizes p at rate samples/second (left-edge sampling).
 func Sample(p Profile, rate float64) Trace {
+	n, rate := SampleGrid(p, rate)
+	s := make([]float64, n)
+	SampleSpan(p, rate, 0, s)
+	return Trace{ID: p.Name(), Rate: rate, Samples: s}
+}
+
+// SampleGrid returns the grid Sample lays over p: the sample count
+// ceil(duration·rate), at least 1, and the rate itself (rate <= 0 selects
+// SampleRateDefault). Code that walks a profile's samples without building
+// the Trace (core.ProfileFingerprint) uses this and SampleSpan so that it
+// cannot drift from Sample.
+func SampleGrid(p Profile, rate float64) (n int, r float64) {
 	if rate <= 0 {
 		rate = SampleRateDefault
 	}
-	n := int(math.Ceil(p.Duration() * rate))
+	n = int(math.Ceil(p.Duration() * rate))
 	if n == 0 {
 		n = 1
 	}
-	s := make([]float64, n)
+	return n, rate
+}
+
+// SampleSpan writes samples first, first+1, … of Sample(p, rate) into dst,
+// one per element, by the same left-edge rule. rate must be one SampleGrid
+// returned.
+func SampleSpan(p Profile, rate float64, first int, dst []float64) {
 	dt := 1 / rate
-	for i := range s {
-		s[i] = p.Current(float64(i) * dt)
+	for j := range dst {
+		dst[j] = p.Current(float64(first+j) * dt)
 	}
-	return Trace{ID: p.Name(), Rate: rate, Samples: s}
 }
 
 func (tr Trace) Current(t float64) float64 {

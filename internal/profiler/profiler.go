@@ -52,22 +52,15 @@ func (p PG) Estimate(task load.Profile) (core.Estimate, error) {
 // wait: when another request is already computing this (model, trace) key,
 // the caller waits for that leader's bit-exact result — unless ctx is
 // cancelled first, in which case only this wait is abandoned (the leader's
-// computation proceeds for everyone else). The serving layer threads each
-// request's deadline through here so a dead client stops occupying a slot.
+// computation proceeds for everyone else). The memo is keyed by
+// core.ProfileFingerprint, so a hit neither samples the profile nor hashes
+// a trace: the profile is sampled only when Algorithm 1 runs.
 func (p PG) EstimateCtx(ctx context.Context, task load.Profile) (core.Estimate, error) {
-	rate := p.SampleRate
-	if rate <= 0 {
-		rate = load.SampleRateDefault
+	sample := func() load.Trace { return load.Sample(task, p.SampleRate) }
+	if p.NoCache {
+		return core.VSafePG(p.Model, sample())
 	}
-	tr := load.Sample(task, rate)
-	switch {
-	case p.NoCache:
-		return core.VSafePG(p.Model, tr)
-	case p.Cache != nil:
-		return p.Cache.PGCtx(ctx, p.Model, tr)
-	default:
-		return core.VSafePGCachedCtx(ctx, p.Model, tr)
-	}
+	return p.cache().PGKeyed(ctx, p.Model, core.ProfileFingerprint(task, p.SampleRate), sample)
 }
 
 // EstimateTrace applies Algorithm 1 to an already-captured current trace at
@@ -81,14 +74,18 @@ func (p PG) EstimateTrace(tr load.Trace) (core.Estimate, error) {
 // EstimateTraceCtx is EstimateTrace with a context bounding the cache's
 // coalesced wait (see EstimateCtx).
 func (p PG) EstimateTraceCtx(ctx context.Context, tr load.Trace) (core.Estimate, error) {
-	switch {
-	case p.NoCache:
+	if p.NoCache {
 		return core.VSafePG(p.Model, tr)
-	case p.Cache != nil:
-		return p.Cache.PGCtx(ctx, p.Model, tr)
-	default:
-		return core.VSafePGCachedCtx(ctx, p.Model, tr)
 	}
+	return p.cache().PGCtx(ctx, p.Model, tr)
+}
+
+// cache is the memo p routes through: Cache, or the shared default.
+func (p PG) cache() *core.VSafeCache {
+	if p.Cache != nil {
+		return p.Cache
+	}
+	return core.DefaultVSafeCache()
 }
 
 // Sampler is a voltage-capture mechanism driven by the simulation loop. It

@@ -246,29 +246,65 @@ func resolveObservation(o ObservationSpec) (core.Observation, error) {
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
+// fingerprint is the load's trace fingerprint: the uploaded trace's own, or
+// for a profile that of load.Sample(profile, load.SampleRateDefault) — the
+// trace Algorithm 1 will see — computed without building it.
+func (r resolvedLoad) fingerprint() uint64 {
+	if r.isTrace {
+		return core.TraceFingerprint(r.trace)
+	}
+	return core.ProfileFingerprint(r.profile, load.SampleRateDefault)
+}
+
+// sample returns the trace Algorithm 1 runs on. The V_safe cache calls it
+// only on a miss.
+func (r resolvedLoad) sample() load.Trace {
+	if r.isTrace {
+		return r.trace
+	}
+	return load.Sample(r.profile, load.SampleRateDefault)
+}
+
+// estimateKey is the (power-model fingerprint, trace fingerprint) pair of a
+// /v1/vsafe request: its V_safe cache key, its in-batch dedup key and its
+// shard route key.
+type estimateKey struct{ model, trace uint64 }
+
+// resolvedEstimate is a /v1/vsafe request resolved and hashed once.
+type resolvedEstimate struct {
+	model core.PowerModel
+	load  resolvedLoad
+	key   estimateKey
+}
+
+func resolveEstimate(req VSafeRequest, catalog *partsdb.Index) (resolvedEstimate, error) {
+	rp, err := resolvePower(req.Power, catalog)
+	if err != nil {
+		return resolvedEstimate{}, err
+	}
+	rl, err := resolveLoad(req.Load)
+	if err != nil {
+		return resolvedEstimate{}, err
+	}
+	return resolvedEstimate{
+		model: rp.model,
+		load:  rl,
+		key:   estimateKey{model: rp.model.Fingerprint(), trace: rl.fingerprint()},
+	}, nil
+}
+
 // Fingerprints resolves a /v1/vsafe request exactly as the handler would
 // and returns the (power-model fingerprint, trace fingerprint) pair that
 // keys the server's V_safe cache for it. This is the routing contract of
 // internal/shard: a router that hashes on these two values sends every
 // request to the shard whose cache already holds (or will hold) its entry.
-// Profile-backed loads are fingerprinted through the same
-// load.Sample(profile, load.SampleRateDefault) call profiler.PG.Estimate
-// makes, so the route key and the cache key can never drift apart. The
-// error, when non-nil, wraps errSpec — the request would have been a 400
-// on any shard, so callers may route it anywhere.
+// Both come from the resolveEstimate the handler itself runs, so the route
+// key and the cache key can never drift apart. The error, when non-nil,
+// wraps errSpec — the request would have been a 400 on any shard, so
+// callers may route it anywhere.
 func Fingerprints(req VSafeRequest, catalog *partsdb.Index) (model, trace uint64, err error) {
-	rp, err := resolvePower(req.Power, catalog)
-	if err != nil {
-		return 0, 0, err
-	}
-	rl, err := resolveLoad(req.Load)
-	if err != nil {
-		return 0, 0, err
-	}
-	if rl.isTrace {
-		return rp.model.Fingerprint(), core.TraceFingerprint(rl.trace), nil
-	}
-	return rp.model.Fingerprint(), core.TraceFingerprint(load.Sample(rl.profile, load.SampleRateDefault)), nil
+	re, err := resolveEstimate(req, catalog)
+	return re.key.model, re.key.trace, err
 }
 
 // PowerFingerprint resolves just the power half of a spec — the routing
