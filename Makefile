@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race golden golden-update soak alloc batch warm bench benchgate serve-smoke chaos shard stream crash check
+.PHONY: build vet test race golden golden-update soak alloc batch warm bench benchgate serve-smoke fuzz-decode chaos shard stream crash check
 
 build:
 	$(GO) build ./...
@@ -39,10 +39,12 @@ soak:
 	$(GO) test ./internal/expt -run 'TestGolden/soak' -count=1
 	$(GO) test ./internal/faults ./internal/intermittent -count=1
 
-# Zero-alloc guard for the simulator hot loop (testing.AllocsPerRun needs a
-# non-race build, so this runs alongside `race` rather than inside it).
+# Zero-alloc guard for the simulator hot loop and the allocation bound on
+# the request decoder (testing.AllocsPerRun needs a non-race build, so this
+# runs alongside `race` rather than inside it).
 alloc:
 	$(GO) test ./internal/powersys -run 'AllocFree' -count=1
+	$(GO) test ./internal/serve -run 'TestDecodeVSafeTraceAllocs' -count=1
 
 # The batch-stepping wall: scalar/batch equivalence (bitwise on the exact
 # path), the fuzz corpus seeds, chunked-sweep contracts and the serving
@@ -91,6 +93,19 @@ serve-smoke:
 	$(GO) build -o /tmp/culpeod-smoke ./cmd/culpeod
 	$(GO) run ./internal/serve/smoke -bin /tmp/culpeod-smoke
 	rm -f /tmp/culpeod-smoke
+
+# Differential fuzzing of the request decoder against encoding/json: each
+# target (one per decoded schema) runs for FUZZTIME and fails on the first
+# input where the two disagree. Not part of `check`: the seed corpora
+# already run under `go test ./...`.
+FUZZTIME ?= 30s
+DECODE_FUZZ = FuzzDecodeDiffVSafe FuzzDecodeDiffBatch FuzzDecodeDiffSimulate \
+	FuzzDecodeDiffVSafeR FuzzDecodeDiffStreamOpen FuzzDecodeDiffStreamObs \
+	FuzzDecodeDiffPowerSpec
+fuzz-decode:
+	for f in $(DECODE_FUZZ); do \
+		$(GO) test ./internal/serve -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Resilience soak, reduced schedule, under the race detector: two culpeod
 # instances behind deterministic netchaos proxies, one client.Pool doing the

@@ -6,6 +6,12 @@
 // consumer code. Keeping the contract in one place is what makes the
 // client/server parity gates ("bit-identical to the library path")
 // checkable: there is exactly one definition of every field.
+//
+// Request bodies are not decoded with encoding/json on the server:
+// internal/serve's single-pass scanner reads them, and it must keep
+// json.Unmarshal's semantics for these types (DESIGN.md §11, "Wire
+// decoding contract"). A new request field therefore needs a case in
+// that decoder and a seed in its differential fuzz targets.
 package api
 
 // PowerSpec describes the power system a request targets. Either name a

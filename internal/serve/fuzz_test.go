@@ -59,7 +59,7 @@ func FuzzVSafeDecode(f *testing.F) {
 	catalog := testCatalog()
 	f.Fuzz(func(t *testing.T, body string) {
 		var req VSafeRequest
-		if err := decodeBody(strings.NewReader(body), &req); err != nil {
+		if err := decodeString(body, &req); err != nil {
 			checkSpecErr(t, err)
 			return
 		}
@@ -85,7 +85,7 @@ func FuzzBatchDecode(f *testing.F) {
 	catalog := testCatalog()
 	f.Fuzz(func(t *testing.T, body string) {
 		var req BatchRequest
-		if err := decodeBody(strings.NewReader(body), &req); err != nil {
+		if err := decodeString(body, &req); err != nil {
 			checkSpecErr(t, err)
 			return
 		}
@@ -111,7 +111,7 @@ func FuzzSimulateDecode(f *testing.F) {
 	catalog := testCatalog()
 	f.Fuzz(func(t *testing.T, body string) {
 		var req SimulateRequest
-		if err := decodeBody(strings.NewReader(body), &req); err != nil {
+		if err := decodeString(body, &req); err != nil {
 			checkSpecErr(t, err)
 			return
 		}
@@ -135,7 +135,7 @@ func FuzzVSafeRDecode(f *testing.F) {
 	catalog := testCatalog()
 	f.Fuzz(func(t *testing.T, body string) {
 		var req VSafeRRequest
-		if err := decodeBody(strings.NewReader(body), &req); err != nil {
+		if err := decodeString(body, &req); err != nil {
 			checkSpecErr(t, err)
 			return
 		}
@@ -184,7 +184,7 @@ func FuzzStreamFrameDecode(f *testing.F) {
 		// Server side: the same bytes as a stream-open body, driven through
 		// decode → resolve → attach on a throwaway table.
 		var open api.StreamOpenRequest
-		if err := decodeBody(strings.NewReader(body), &open); err == nil {
+		if err := decodeString(body, &open); err == nil {
 			if rp, err := resolvePower(open.Power, catalog); err != nil {
 				checkSpecErr(t, err)
 			} else {
@@ -199,7 +199,7 @@ func FuzzStreamFrameDecode(f *testing.F) {
 
 		// And as a stream-obs body: fold errors must classify, never panic.
 		var obs api.StreamObsRequest
-		if err := decodeBody(strings.NewReader(body), &obs); err == nil {
+		if err := decodeString(body, &obs); err == nil {
 			tbl := session.NewTable(session.Config{Shards: 1, MaxSessions: 4})
 			_, _ = tbl.Fold(obs.Device, obs.Observations, obs.Close)
 		} else {

@@ -298,7 +298,7 @@ func (s *Server) phaseString() string {
 func (s *Server) resolveSpec(spec []byte) (core.PowerModel, error) {
 	var p PowerSpec
 	if len(spec) > 0 {
-		if err := json.Unmarshal(spec, &p); err != nil {
+		if err := unmarshal(spec, &p); err != nil {
 			return core.PowerModel{}, fmt.Errorf("recover: decode power spec: %w", err)
 		}
 	}
@@ -609,7 +609,7 @@ func (s *Server) estimate(ctx context.Context, re resolvedEstimate) (EstimateRes
 
 func (s *Server) handleVSafe(ctx context.Context, r *http.Request) (any, error) {
 	var req VSafeRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	re, err := resolveEstimate(req, s.catalog)
@@ -621,7 +621,7 @@ func (s *Server) handleVSafe(ctx context.Context, r *http.Request) (any, error) 
 
 func (s *Server) handleVSafeR(ctx context.Context, r *http.Request) (any, error) {
 	var req VSafeRRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	rp, err := resolvePower(req.Power, s.catalog)
@@ -732,7 +732,7 @@ func simulateScalar(ctx context.Context, rs resolvedSim) (SimulateResponse, erro
 
 func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, error) {
 	var req SimulateRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	rs, err := resolveSimulate(req, s.catalog)
@@ -750,7 +750,7 @@ func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, erro
 // lockstep batch stepper, one chunk of lanes per worker dispatch.
 func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) {
 	var req BatchRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Requests) == 0 && len(req.Simulations) == 0 {

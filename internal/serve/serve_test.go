@@ -76,7 +76,7 @@ func defaultModel(t *testing.T) core.PowerModel {
 }
 
 // specForProfile maps a library profile back to its wire spec.
-func specForProfile(t *testing.T, p load.Profile) LoadSpec {
+func specForProfile(t testing.TB, p load.Profile) LoadSpec {
 	t.Helper()
 	switch l := p.(type) {
 	case load.Uniform:
@@ -418,28 +418,31 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// badRequestCases are bodies every server must answer with a 400. The
+// decoder's differential fuzz targets seed from them too.
+var badRequestCases = []struct {
+	name, path, body string
+}{
+	{"not-json", "/v1/vsafe", "hello"},
+	{"trailing-data", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":0.01}} extra`},
+	{"wrong-types", "/v1/vsafe", `{"load":{"shape":42}}`},
+	{"no-load-form", "/v1/vsafe", `{}`},
+	{"two-load-forms", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":0.01,"peripheral":"ble"}}`},
+	{"unknown-peripheral", "/v1/vsafe", `{"load":{"peripheral":"toaster"}}`},
+	{"negative-current", "/v1/vsafe", `{"load":{"shape":"uniform","i":-1,"t":0.01}}`},
+	{"over-duration-cap", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":3600}}`},
+	{"unknown-part", "/v1/vsafe", `{"power":{"part":"flux-capacitor"},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
+	{"part-conflict", "/v1/vsafe", `{"power":{"part":"supercapacitor-0000","c":0.01},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
+	{"bankc-without-part", "/v1/vsafe", `{"power":{"bank_c":0.01},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
+	{"inverted-window", "/v1/vsafe", `{"power":{"v_off":2.5,"v_high":1.6},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
+	{"bad-age", "/v1/vsafe", `{"power":{"age":2},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
+	{"negative-sample", "/v1/vsafe", `{"load":{"samples":[0.01,-0.5]}}`},
+	{"bad-rate", "/v1/vsafe", `{"load":{"samples":[0.01],"rate":-5}}`},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, path, body string
-	}{
-		{"not-json", "/v1/vsafe", "hello"},
-		{"trailing-data", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":0.01}} extra`},
-		{"wrong-types", "/v1/vsafe", `{"load":{"shape":42}}`},
-		{"no-load-form", "/v1/vsafe", `{}`},
-		{"two-load-forms", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":0.01,"peripheral":"ble"}}`},
-		{"unknown-peripheral", "/v1/vsafe", `{"load":{"peripheral":"toaster"}}`},
-		{"negative-current", "/v1/vsafe", `{"load":{"shape":"uniform","i":-1,"t":0.01}}`},
-		{"over-duration-cap", "/v1/vsafe", `{"load":{"shape":"uniform","i":0.025,"t":3600}}`},
-		{"unknown-part", "/v1/vsafe", `{"power":{"part":"flux-capacitor"},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
-		{"part-conflict", "/v1/vsafe", `{"power":{"part":"supercapacitor-0000","c":0.01},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
-		{"bankc-without-part", "/v1/vsafe", `{"power":{"bank_c":0.01},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
-		{"inverted-window", "/v1/vsafe", `{"power":{"v_off":2.5,"v_high":1.6},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
-		{"bad-age", "/v1/vsafe", `{"power":{"age":2},"load":{"shape":"uniform","i":0.025,"t":0.01}}`},
-		{"negative-sample", "/v1/vsafe", `{"load":{"samples":[0.01,-0.5]}}`},
-		{"bad-rate", "/v1/vsafe", `{"load":{"samples":[0.01],"rate":-5}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequestCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

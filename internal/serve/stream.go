@@ -66,7 +66,7 @@ func (s *Server) streaming(name string, fn func(sw *statusWriter, r *http.Reques
 func (s *Server) handleStreamOpen(sw *statusWriter, r *http.Request) {
 	var req api.StreamOpenRequest
 	r.Body = http.MaxBytesReader(sw, r.Body, maxStreamBodyBytes)
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxStreamBodyBytes, &req); err != nil {
 		writeError(sw, http.StatusBadRequest, err)
 		return
 	}
@@ -164,7 +164,7 @@ func (s *Server) handleStreamOpen(sw *statusWriter, r *http.Request) {
 // refined estimate is pushed on the stream; the response acknowledges.
 func (s *Server) handleStreamObs(ctx context.Context, r *http.Request) (any, error) {
 	var req api.StreamObsRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
