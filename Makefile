@@ -1,14 +1,14 @@
 # Development entry points. `make check` is the gate a change must pass:
 # static analysis, a full build, every suite under the race detector (the
 # golden corpus and the full-size soaks included), the zero-alloc guards
-# the race build cannot run, the reduced soak goldens, the out-of-process
+# the race build cannot run, the Algorithm 1 parity tests on GOAMD64=v3, the reduced soak goldens, the out-of-process
 # serving smoke and the benchmark regression gate. The focused walls
 # (batch, warm, golden, soak, stream, crash) re-run subsets of `race` and
 # stay available for iterating on one area.
 
 GO ?= go
 
-.PHONY: build vet test race golden golden-update soak alloc batch warm bench benchgate serve-smoke fuzz-decode chaos shard stream crash check
+.PHONY: build vet test race golden golden-update soak alloc pg-v3 batch warm bench benchgate serve-smoke fuzz-decode chaos shard stream crash check
 
 build:
 	$(GO) build ./...
@@ -39,12 +39,22 @@ soak:
 	$(GO) test ./internal/expt -run 'TestGolden/soak' -count=1
 	$(GO) test ./internal/faults ./internal/intermittent -count=1
 
-# Zero-alloc guard for the simulator hot loop and the allocation bound on
-# the request decoder (testing.AllocsPerRun needs a non-race build, so this
-# runs alongside `race` rather than inside it).
+# Zero-alloc guards for the simulator hot loop, the Algorithm 1 lane
+# kernel and the V_safe cache hit, and the allocation bound on the request
+# decoder (testing.AllocsPerRun needs a non-race build, so this runs
+# alongside `race` rather than inside it).
 alloc:
 	$(GO) test ./internal/powersys -run 'AllocFree' -count=1
+	$(GO) test ./internal/core -run 'AllocFree' -count=1
 	$(GO) test ./internal/serve -run 'TestDecodeVSafeTraceAllocs' -count=1
+
+# The Algorithm 1 parity tests (lane kernel vs VSafePG by Float64bits, the
+# batch cache path, the copy-free widest pulse) once more on GOAMD64=v3.
+# The Go spec lets a compiler fuse x*y+z into one FMA; v3 makes FMA
+# available, so this is where a fusion applied to one walk and not the
+# other would show.
+pg-v3:
+	GOAMD64=v3 $(GO) test ./internal/core ./internal/load -run 'Lanes|VSafeCacheBatch|TraceWidestPulse' -count=1
 
 # The batch-stepping wall: scalar/batch equivalence (bitwise on the exact
 # path), the fuzz corpus seeds, chunked-sweep contracts and the serving
@@ -60,10 +70,11 @@ batch:
 # The miss-path wall, all under the race detector: warm-vs-cold bisection
 # equivalence (scalar, batch, fuzz seeds, sweep drivers, partsdb chain) and
 # the V_safe cache singleflight suite (same-key storm computes once,
-# bit-exact fan-out, error propagation, waiter cancellation).
+# bit-exact fan-out, error propagation, waiter cancellation), on PGKeyed
+# and on the batch entry point.
 warm:
 	$(GO) test -race ./internal/harness -run 'TestWarm|FuzzWarmBracket' -count=1
-	$(GO) test -race ./internal/core -run 'TestVSafeCacheSingleflight|TestVSafeCacheWaiterCancel|TestVSafeCacheConcurrent' -count=1
+	$(GO) test -race ./internal/core -run 'TestVSafeCacheSingleflight|TestVSafeCacheWaiterCancel|TestVSafeCacheConcurrent|TestVSafeCacheBatch' -count=1
 	$(GO) test -race ./internal/expt -run 'TestWarm' -count=1
 	$(GO) test -race ./internal/partsdb -run 'TestBankVSafeSweepWarm' -count=1
 
@@ -149,4 +160,4 @@ crash:
 	$(GO) test -race ./internal/expt -run 'TestCrashSoak' -short -count=1
 	$(GO) test ./internal/journal -count=1
 
-check: vet build alloc race serve-smoke chaos shard benchgate
+check: vet build alloc pg-v3 race serve-smoke chaos shard benchgate

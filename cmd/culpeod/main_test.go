@@ -337,8 +337,17 @@ func TestJournaledDrainAndRecover(t *testing.T) {
 	}
 
 	// Boot a second incarnation on the same directory: the session is back.
-	url2, cancel2, _, out2 := startDaemon(t, "-journal-dir", dir, "-session-sweep", "0")
-	defer cancel2()
+	url2, cancel2, code2, out2 := startDaemon(t, "-journal-dir", dir, "-session-sweep", "0")
+	defer func() {
+		cancel2()
+		// The drain writes a snapshot into dir: let it finish before
+		// t.TempDir's cleanup removes the directory.
+		select {
+		case <-code2:
+		case <-time.After(10 * time.Second):
+			t.Error("second daemon did not drain")
+		}
+	}()
 	waitForOutput(t, out2, "journal recovered: 1 sessions")
 	retry, err := http.Post(url2+api.PathStreamObs, "application/json", strings.NewReader(obs))
 	if err != nil {

@@ -34,6 +34,7 @@ func sample() *Report {
 		BatchSpeedup:     10.0,
 		WarmSweepSpeedup: 1.5,
 		CoalesceSpeedup:  8.0,
+		LanesSpeedup:     3.5,
 		Serving: &ServingStats{
 			ThroughputRPS: 14000, P50Ms: 0.2, P99Ms: 1.1, MeanMs: 0.3,
 			Requests: 42000, Concurrency: 4, DurationSec: 3, CacheHitRate: 0.99,
@@ -79,6 +80,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"zero warm speedup":      func(r *Report) { r.WarmSweepSpeedup = 0 },
 		"infinite warm speedup":  func(r *Report) { r.WarmSweepSpeedup = math.Inf(1) },
 		"coalesce not winning":   func(r *Report) { r.CoalesceSpeedup = 0.9 },
+		"negative lanes speedup": func(r *Report) { r.LanesSpeedup = -1 },
+		"NaN lanes speedup":      func(r *Report) { r.LanesSpeedup = math.NaN() },
 		"missing misspath rows": func(r *Report) {
 			for i := range r.Benchmarks {
 				if r.Benchmarks[i].Name == "misspath/miss-coalesced" {
@@ -153,6 +156,7 @@ func TestCompare(t *testing.T) {
 		"batch speedup":      func(r *Report) { r.BatchSpeedup *= 0.5 },
 		"warm sweep speedup": func(r *Report) { r.WarmSweepSpeedup *= 0.5 },
 		"coalesce speedup":   func(r *Report) { r.CoalesceSpeedup *= 0.5 },
+		"lanes speedup":      func(r *Report) { r.LanesSpeedup *= 0.5 },
 		"serving throughput": func(r *Report) { r.Serving.ThroughputRPS *= 0.5 },
 		"shard speedup":      func(r *Report) { r.ShardScaling.Rows[1].SpeedupVs1 *= 0.5 },
 	}

@@ -20,6 +20,7 @@ package core
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -233,9 +234,10 @@ type VSafeCache struct {
 	waits     uint64 // lookups that found a flight and waited
 	coalesced uint64 // waits resolved by sharing a leader's success
 
-	// compute overrides the miss-path computation; nil selects VSafePG.
-	// Test seam only: the singleflight suite substitutes blocking and
-	// counting computations to pin leader/waiter semantics.
+	// compute overrides the miss-path computation, one miss at a time; nil
+	// selects VSafePG for a lone miss and VSafePGLanes for several. Test
+	// seam only: the singleflight suite substitutes blocking and counting
+	// computations to pin leader/waiter semantics on PGKeyed and PGBatch.
 	compute func(PowerModel, load.Trace) (Estimate, error)
 }
 
@@ -266,10 +268,11 @@ func (c *VSafeCache) PGCtx(ctx context.Context, m PowerModel, tr load.Trace) (Es
 }
 
 // PGKeyed returns VSafePG(m, sample()), memoized under (m.Fingerprint(),
-// traceFP). traceFP must be TraceFingerprint of the trace sample returns —
-// callers that resolved the load already hold it (ProfileFingerprint for a
-// profile) — and sample runs only on a miss, by the leader, so a hit
-// neither hashes nor builds the trace.
+// traceFP): the one-element case of PGBatch. traceFP must be
+// TraceFingerprint of the trace sample returns — callers that resolved the
+// load already hold it (ProfileFingerprint for a profile) — and sample runs
+// only on a miss, by the leader, so a hit neither hashes nor builds the
+// trace.
 //
 // Misses are coalesced: the first looker on a key becomes the leader,
 // computes outside the lock, inserts on success and publishes to every
@@ -281,57 +284,135 @@ func (c *VSafeCache) PGCtx(ctx context.Context, m PowerModel, tr load.Trace) (Es
 // The leader itself ignores ctx — by the time it is elected the
 // computation is already owed to any waiters that pile up behind it.
 func (c *VSafeCache) PGKeyed(ctx context.Context, m PowerModel, traceFP uint64, sample func() load.Trace) (Estimate, error) {
-	if c == nil {
-		return VSafePG(m, sample())
-	}
-	key := vsafeKey{model: m.Fingerprint(), trace: traceFP}
+	var est [1]Estimate
+	var err [1]error
+	c.PGBatch(ctx, []PGLookup{{Model: m, TraceFP: traceFP}}, func(int) load.Trace { return sample() }, est[:], err[:])
+	return est[0], err[0]
+}
 
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		est := el.Value.(*vsafeEntry).est
-		c.hits++
-		c.mu.Unlock()
-		return est, nil
+// PGLookup is one element of PGBatch: a model and the fingerprint of the
+// trace to walk under it.
+type PGLookup struct {
+	Model   PowerModel
+	TraceFP uint64
+}
+
+// PGBatch answers lookups[i] into ests[i] and errs[i] exactly as PGKeyed
+// would answer it alone, with sample(i) as its trace supplier. Under one
+// hold of the lock it finds every hit, joins every flight already in
+// progress and claims leadership of every remaining miss. It then walks
+// its misses through VSafePGLanes (VSafePG for a lone miss), calling
+// sample(i) only as miss i's walk starts, so no more than PGLaneWidth led
+// traces are built at a time, and publishes each key — insert, evict, wake its waiters — the moment that key's walk
+// ends, so a waiter on one key is not held for the whole batch. Only then
+// does it wait on the flights it joined; leading before waiting means two
+// batches that lead each other's keys cannot deadlock. A key repeated
+// within lookups is led once and joined by each repeat. Counters move as
+// for the same lookups made one by one concurrently; a nil cache computes
+// without memoizing.
+func (c *VSafeCache) PGBatch(ctx context.Context, lookups []PGLookup, sample func(i int) load.Trace, ests []Estimate, errs []error) {
+	if c == nil {
+		runPG(nil, len(lookups), func(j int) PGJob {
+			return PGJob{Model: lookups[j].Model, Trace: sample(j)}
+		}, func(j int, est Estimate, err error) { ests[j], errs[j] = est, err })
+		return
 	}
-	if fl, ok := c.flights[key]; ok {
-		c.waits++
-		c.mu.Unlock()
+	var one [1]vsafeKey
+	keys := one[:]
+	if len(lookups) > 1 {
+		keys = make([]vsafeKey, len(lookups))
+	}
+	for i := range lookups {
+		keys[i] = vsafeKey{model: lookups[i].Model.Fingerprint(), trace: lookups[i].TraceFP}
+	}
+
+	var leads, joins []pgFlight
+	c.mu.Lock()
+	for i, key := range keys[:len(lookups)] {
+		if el, ok := c.entries[key]; ok {
+			c.order.MoveToFront(el)
+			ests[i], errs[i] = el.Value.(*vsafeEntry).est, nil
+			c.hits++
+			continue
+		}
+		if fl, ok := c.flights[key]; ok {
+			c.waits++
+			joins = append(joins, pgFlight{i: i, key: key, fl: fl})
+			continue
+		}
+		c.misses++
+		fl := &vsafeFlight{done: make(chan struct{})}
+		c.flights[key] = fl
+		leads = append(leads, pgFlight{i: i, key: key, fl: fl})
+	}
+	compute := c.compute
+	c.mu.Unlock()
+
+	if len(leads) > 0 {
+		c.lead(compute, lookups, sample, leads, ests, errs)
+	}
+	for _, jn := range joins {
 		select {
-		case <-fl.done:
+		case <-jn.fl.done:
 		case <-ctx.Done():
-			return Estimate{}, ctx.Err()
+			ests[jn.i], errs[jn.i] = Estimate{}, ctx.Err()
+			continue
 		}
 		c.mu.Lock()
-		if fl.err == nil {
+		if jn.fl.err == nil {
 			c.hits++
 			c.coalesced++
 		} else {
 			c.misses++
 		}
 		c.mu.Unlock()
-		return fl.est, fl.err
+		ests[jn.i], errs[jn.i] = jn.fl.est, jn.fl.err
 	}
-	c.misses++
-	fl := &vsafeFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	compute := c.compute
-	c.mu.Unlock()
+}
 
-	if compute == nil {
-		compute = VSafePG
-	}
-	est, err := compute(m, sample())
+// pgFlight is a PGBatch element that leads or joins the flight for key.
+type pgFlight struct {
+	i   int
+	key vsafeKey
+	fl  *vsafeFlight
+}
 
+// lead computes the flights PGBatch claimed and publishes each as its walk
+// ends. Should a supplier or the computation panic, every flight not yet
+// published fails with the panic's text before the panic continues, so no
+// waiter is left on a flight nobody will finish.
+func (c *VSafeCache) lead(compute func(PowerModel, load.Trace) (Estimate, error), lookups []PGLookup, sample func(int) load.Trace, leads []pgFlight, ests []Estimate, errs []error) {
+	defer func() {
+		if r := recover(); r != nil {
+			for _, ld := range leads {
+				if ld.fl != nil {
+					c.publish(ld, Estimate{}, fmt.Errorf("core: V_safe computation panicked: %v", r))
+				}
+			}
+			panic(r)
+		}
+	}()
+	runPG(compute, len(leads), func(j int) PGJob {
+		return PGJob{Model: lookups[leads[j].i].Model, Trace: sample(leads[j].i)}
+	}, func(j int, est Estimate, err error) {
+		ests[leads[j].i], errs[leads[j].i] = est, err
+		c.publish(leads[j], est, err)
+		leads[j].fl = nil
+	})
+}
+
+// publish ends a led flight: the outcome goes to the flight's waiters, and
+// a success takes the key's line, evicting from the back past capacity.
+func (c *VSafeCache) publish(ld pgFlight, est Estimate, err error) {
 	c.mu.Lock()
-	fl.est, fl.err = est, err
-	delete(c.flights, key)
+	ld.fl.est, ld.fl.err = est, err
+	delete(c.flights, ld.key)
 	if err == nil {
 		// The flight map guarantees this key has exactly one leader at a
 		// time and no other path inserts, so the line cannot already exist:
 		// every successful miss inserts exactly once (the accounting tests
 		// rely on len+evictions == misses holding under concurrency).
-		c.entries[key] = c.order.PushFront(&vsafeEntry{key: key, est: est})
+		c.entries[ld.key] = c.order.PushFront(&vsafeEntry{key: ld.key, est: est})
 		for c.order.Len() > c.capacity {
 			back := c.order.Back()
 			c.order.Remove(back)
@@ -340,8 +421,25 @@ func (c *VSafeCache) PGKeyed(ctx context.Context, m PowerModel, traceFP uint64, 
 		}
 	}
 	c.mu.Unlock()
-	close(fl.done)
-	return est, err
+	close(ld.fl.done)
+}
+
+// runPG walks jobs 0..n-1, each built by job(j) only when its walk starts,
+// and reports each through done: one by one through compute when the test
+// seam sets it, by VSafePG for a lone job, and in lockstep lanes otherwise.
+func runPG(compute func(PowerModel, load.Trace) (Estimate, error), n int, job func(int) PGJob, done func(int, Estimate, error)) {
+	if compute == nil && n > 1 {
+		VSafePGLanes(n, job, done)
+		return
+	}
+	if compute == nil {
+		compute = VSafePG
+	}
+	for j := 0; j < n; j++ {
+		jb := job(j)
+		est, err := compute(jb.Model, jb.Trace)
+		done(j, est, err)
+	}
 }
 
 // VSafeCacheStats is a point-in-time snapshot of cache effectiveness. It

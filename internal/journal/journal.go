@@ -506,11 +506,15 @@ func (j *Journal) process(batch []request) {
 			j.failed = err
 		}
 		j.batches.Add(1)
+		if err == nil {
+			// Counted before the acks, so a caller whose Wait returned
+			// sees its append in Stats.
+			j.appends.Add(uint64(len(pending)))
+		}
 		for _, req := range pending {
 			req.done <- err
 		}
 		if err == nil {
-			j.appends.Add(uint64(len(pending)))
 			j.maybeRotate()
 		}
 		pending, buf = pending[:0], buf[:0]

@@ -591,14 +591,20 @@ func (s *Server) api(name string, fn func(ctx context.Context, r *http.Request) 
 // request" for metrics classification.
 const statusClientClosed = 499
 
-// estimate is the shared core of /v1/vsafe and each batch element: route
-// the resolved request through the server's cache under its key, answer
-// bit-identically to the library path. The load is sampled only on a miss.
+// estimate answers /v1/vsafe: route the resolved request through the
+// server's cache under its key, answer bit-identically to the library
+// path. The load is sampled only on a miss. Batch elements take the same
+// cache through estimateBatch.
 func (s *Server) estimate(ctx context.Context, re resolvedEstimate) (EstimateResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EstimateResponse{}, err
 	}
-	est, err := s.cache.PGKeyed(ctx, re.model, re.key.trace, re.load.sample)
+	return estimateResponse(s.cache.PGKeyed(ctx, re.model, re.key.trace, re.load.sample))
+}
+
+// estimateResponse maps an Algorithm 1 outcome onto the wire shape, shared
+// by /v1/vsafe and the batch elements.
+func estimateResponse(est core.Estimate, err error) (EstimateResponse, error) {
 	if err != nil {
 		// Residual Algorithm 1 failures are input-data problems (the specs
 		// themselves already validated).
@@ -742,12 +748,15 @@ func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, erro
 	return simulateScalar(ctx, rs)
 }
 
-// handleBatch fans the elements out over the sweep worker pool. Results are
-// order-preserving and per-element: one malformed element reports its error
-// in place without failing its siblings. All estimate elements share the
-// server's V_safe cache, so a batch of near-duplicate configurations
-// coalesces into few Algorithm 1 runs; simulation elements run on the SoA
-// lockstep batch stepper, one chunk of lanes per worker dispatch.
+// handleBatch answers every element in order and per element: one
+// malformed element reports its error in place without failing its
+// siblings. Estimate elements are resolved and deduplicated by cache key,
+// and the distinct ones go to the server's V_safe cache in one
+// VSafeCache.PGBatch call per chunk (one chunk per worker, at most
+// estimateChunk elements), which walks the chunk's misses through
+// Algorithm 1 in lockstep lanes (estimateBatch). Simulation elements run
+// on the SoA lockstep batch stepper, one chunk of lanes per worker
+// dispatch.
 func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) {
 	var req BatchRequest
 	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
@@ -786,31 +795,37 @@ func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) 
 			}
 			reps = append(reps, i)
 		}
-		repResults, err := sweep.Map(ctx, reps, func(ctx context.Context, _ int, idx int) (BatchResult, error) {
-			err := resErrs[idx]
-			var est EstimateResponse
-			if err == nil {
-				est, err = s.estimate(ctx, res[idx])
+		results := make([]BatchResult, len(req.Requests))
+		live := make([]resolvedEstimate, 0, len(reps))
+		for _, idx := range reps {
+			if resErrs[idx] != nil {
+				results[idx] = BatchResult{Error: resErrs[idx].Error()}
+			} else {
+				live = append(live, res[idx])
 			}
-			if err != nil {
-				if ctx.Err() != nil {
-					return BatchResult{}, ctx.Err() // deadline: fail the batch, not the element
-				}
-				return BatchResult{Error: err.Error()}, nil
-			}
-			return BatchResult{Estimate: &est}, nil
-		}, sweep.Workers(s.cfg.Workers))
+		}
+		// One chunk per worker, one lane-kernel walk each, but no chunk
+		// over estimateChunk: the pool checks the deadline between
+		// chunks, so an expired batch overruns by at most one chunk per
+		// worker.
+		workers := s.cfg.Workers
+		if workers < 1 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		size := min((len(live)+workers-1)/workers, estimateChunk)
+		liveResults, err := sweep.MapChunks(ctx, live, size, s.estimateBatch, sweep.Workers(workers))
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr // a deadline fails the batch, not the element
+		}
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
 			return nil, err
 		}
-		results := make([]BatchResult, len(req.Requests))
-		for j, idx := range reps {
-			results[idx] = repResults[j]
+		for _, idx := range reps {
+			if resErrs[idx] == nil {
+				results[idx], liveResults = liveResults[0], liveResults[1:]
+			}
 			for _, f := range followers[idx] {
-				r := repResults[j]
+				r := results[idx]
 				if r.Estimate != nil {
 					est := *r.Estimate // value copy: no aliasing across elements
 					r.Estimate = &est
@@ -832,6 +847,41 @@ func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) 
 		resp.Simulations = sims
 	}
 	return resp, nil
+}
+
+// estimateChunk caps the distinct estimate elements one estimateBatch call
+// walks. The walk itself ignores the request's deadline, so this bounds
+// the work a batch does past it; eight lane widths keep every lane busy.
+const estimateChunk = 8 * core.PGLaneWidth
+
+// estimateBatch answers a chunk of distinct, resolved estimate elements
+// through one VSafeCache.PGBatch call. An element's Algorithm 1 error is
+// reported in its slot with /v1/vsafe's 400 text; a request deadline or
+// disconnect fails the chunk.
+func (s *Server) estimateBatch(ctx context.Context, _ int, chunk []resolvedEstimate) ([]BatchResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	lookups := make([]core.PGLookup, len(chunk))
+	for j, re := range chunk {
+		lookups[j] = core.PGLookup{Model: re.model, TraceFP: re.key.trace}
+	}
+	ests := make([]core.Estimate, len(chunk))
+	errs := make([]error, len(chunk))
+	s.cache.PGBatch(ctx, lookups, func(j int) load.Trace { return chunk[j].load.sample() }, ests, errs)
+	out := make([]BatchResult, len(chunk))
+	for j := range chunk {
+		est, err := estimateResponse(ests[j], errs[j])
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			out[j] = BatchResult{Error: err.Error()}
+			continue
+		}
+		out[j] = BatchResult{Estimate: &est}
+	}
+	return out, nil
 }
 
 // batchChunk is how many simulation lanes one worker dispatch advances in
