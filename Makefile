@@ -3,12 +3,12 @@
 # golden corpus and the full-size soaks included), the zero-alloc guards
 # the race build cannot run, the Algorithm 1 parity tests on GOAMD64=v3, the reduced soak goldens, the out-of-process
 # serving smoke and the benchmark regression gate. The focused walls
-# (batch, warm, golden, soak, stream, crash) re-run subsets of `race` and
+# (batch, golden, soak, stream, crash) re-run subsets of `race` and
 # stay available for iterating on one area.
 
 GO ?= go
 
-.PHONY: build vet test race golden golden-update soak alloc pg-v3 batch warm bench benchgate serve-smoke fuzz-decode chaos shard stream crash check
+.PHONY: build vet test race golden golden-update soak alloc pg-v3 batch bench benchgate serve-smoke fuzz-decode chaos shard stream crash check
 
 build:
 	$(GO) build ./...
@@ -57,26 +57,15 @@ pg-v3:
 	GOAMD64=v3 $(GO) test ./internal/core ./internal/load -run 'Lanes|VSafeCacheBatch|TraceWidestPulse' -count=1
 
 # The batch-stepping wall: scalar/batch equivalence (bitwise on the exact
-# path), the fuzz corpus seeds, chunked-sweep contracts and the serving
-# batch lane, all under the race detector — then the steady-state
-# zero-alloc guards, which need a non-race build for AllocsPerRun.
+# path), compiled-schedule runs against their source profiles, the fuzz
+# corpus seeds, chunked-sweep contracts and the serving batch lane, all
+# under the race detector — then the steady-state zero-alloc guards, which
+# need a non-race build for AllocsPerRun.
 batch:
-	$(GO) test -race ./internal/powersys -run 'TestBatch|TestCompiledProfile|FuzzBatchStep' -count=1
-	$(GO) test -race ./internal/harness -run 'TestGroundTruthBatch' -count=1
+	$(GO) test -race ./internal/powersys -run 'TestBatch|TestCompiledProfile|TestFastCompiledMatchesSource|FuzzBatchStep' -count=1
 	$(GO) test -race ./internal/sweep -run 'TestMapChunks' -count=1
 	$(GO) test -race ./internal/serve -run 'TestBatchSimulate' -count=1
 	$(GO) test ./internal/powersys -run 'TestBatch.*AllocFree' -count=1
-
-# The miss-path wall, all under the race detector: warm-vs-cold bisection
-# equivalence (scalar, batch, fuzz seeds, sweep drivers, partsdb chain) and
-# the V_safe cache singleflight suite (same-key storm computes once,
-# bit-exact fan-out, error propagation, waiter cancellation), on PGKeyed
-# and on the batch entry point.
-warm:
-	$(GO) test -race ./internal/harness -run 'TestWarm|FuzzWarmBracket' -count=1
-	$(GO) test -race ./internal/core -run 'TestVSafeCacheSingleflight|TestVSafeCacheWaiterCancel|TestVSafeCacheConcurrent|TestVSafeCacheBatch' -count=1
-	$(GO) test -race ./internal/expt -run 'TestWarm' -count=1
-	$(GO) test -race ./internal/partsdb -run 'TestBankVSafeSweepWarm' -count=1
 
 # Performance trajectory: the go-test benchmark sweep, then the recorded
 # BENCH_culpeo.json artifact and its validation gate (fails on malformed or

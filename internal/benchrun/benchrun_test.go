@@ -25,16 +25,14 @@ func sample() *Report {
 			{Name: "sweep/exact-uncached", NsPerOp: 2.1e8, AllocsPerOp: 40, BytesPerOp: 8192, Iterations: 6},
 			{Name: "sweep/fast-warm-cache", NsPerOp: 0.6e8, AllocsPerOp: 38, BytesPerOp: 8000, Iterations: 20},
 			{Name: "misspath/sweep-cold", NsPerOp: 3.0e7, AllocsPerOp: 20, BytesPerOp: 4096, Iterations: 40},
-			{Name: "misspath/sweep-warm", NsPerOp: 2.0e7, AllocsPerOp: 20, BytesPerOp: 4096, Iterations: 60},
 			{Name: "misspath/miss-direct", NsPerOp: 8.0e7, AllocsPerOp: 320, BytesPerOp: 65536, Iterations: 15},
 			{Name: "misspath/miss-coalesced", NsPerOp: 1.0e7, AllocsPerOp: 40, BytesPerOp: 8192, Iterations: 120},
 		},
-		VSafeCache:       CacheStats{Hits: 96, Misses: 4, HitRate: 0.96},
-		FastPathSpeedup:  3.5,
-		BatchSpeedup:     10.0,
-		WarmSweepSpeedup: 1.5,
-		CoalesceSpeedup:  8.0,
-		LanesSpeedup:     3.5,
+		VSafeCache:      CacheStats{Hits: 96, Misses: 4, HitRate: 0.96},
+		FastPathSpeedup: 3.5,
+		BatchSpeedup:    10.0,
+		CoalesceSpeedup: 8.0,
+		LanesSpeedup:    3.5,
 		Serving: &ServingStats{
 			ThroughputRPS: 14000, P50Ms: 0.2, P99Ms: 1.1, MeanMs: 0.3,
 			Requests: 42000, Concurrency: 4, DurationSec: 3, CacheHitRate: 0.99,
@@ -77,8 +75,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"infinite speedup":       func(r *Report) { r.FastPathSpeedup = math.Inf(1) },
 		"zero batch speedup":     func(r *Report) { r.BatchSpeedup = 0 },
 		"infinite batch speedup": func(r *Report) { r.BatchSpeedup = math.Inf(1) },
-		"zero warm speedup":      func(r *Report) { r.WarmSweepSpeedup = 0 },
-		"infinite warm speedup":  func(r *Report) { r.WarmSweepSpeedup = math.Inf(1) },
 		"coalesce not winning":   func(r *Report) { r.CoalesceSpeedup = 0.9 },
 		"negative lanes speedup": func(r *Report) { r.LanesSpeedup = -1 },
 		"NaN lanes speedup":      func(r *Report) { r.LanesSpeedup = math.NaN() },
@@ -154,7 +150,6 @@ func TestCompare(t *testing.T) {
 		"ns/op":              func(r *Report) { r.Benchmarks[0].NsPerOp *= 1.5 },
 		"fast path speedup":  func(r *Report) { r.FastPathSpeedup *= 0.5 },
 		"batch speedup":      func(r *Report) { r.BatchSpeedup *= 0.5 },
-		"warm sweep speedup": func(r *Report) { r.WarmSweepSpeedup *= 0.5 },
 		"coalesce speedup":   func(r *Report) { r.CoalesceSpeedup *= 0.5 },
 		"lanes speedup":      func(r *Report) { r.LanesSpeedup *= 0.5 },
 		"serving throughput": func(r *Report) { r.Serving.ThroughputRPS *= 0.5 },

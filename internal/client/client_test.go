@@ -513,7 +513,7 @@ func TestDoRawPath(t *testing.T) {
 // document, the counters ride the next snapshot, and an unreachable
 // backend keeps its last-seen values rather than erroring the scrape.
 func TestScrapeServerMetrics(t *testing.T) {
-	doc := `{"batch_deduped_total":7,"vsafe_cache":{"hits":40,"misses":10,"inflight_waits":12,"coalesced":9,"warm_hits":3,"warm_fallbacks":1}}`
+	doc := `{"batch_deduped_total":7,"vsafe_cache":{"hits":40,"misses":10,"inflight_waits":12,"coalesced":9}}`
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/metrics" {
 			http.NotFound(w, r)
@@ -535,8 +535,7 @@ func TestScrapeServerMetrics(t *testing.T) {
 	if bs[0].VSafeCache == nil {
 		t.Fatal("no cache stats after scrape")
 	}
-	if c := bs[0].VSafeCache; c.Hits != 40 || c.Coalesced != 9 || c.InflightWaits != 12 ||
-		c.WarmHits != 3 || c.WarmFallbacks != 1 {
+	if c := bs[0].VSafeCache; c.Hits != 40 || c.Coalesced != 9 || c.InflightWaits != 12 {
 		t.Errorf("scraped cache stats wrong: %+v", c)
 	}
 	if bs[0].BatchDeduped != 7 {

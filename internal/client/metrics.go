@@ -46,7 +46,7 @@ type backendCounters struct {
 
 // serverMetrics is the subset of serve's /metrics document the client
 // decodes on a scrape: the V_safe cache counters (hit/miss plus the
-// singleflight and warm-bisection fields) and the in-batch dedup total.
+// singleflight fields) and the in-batch dedup total.
 // Decoding a subset keeps the client forward-compatible with new server
 // fields.
 type serverMetrics struct {

@@ -75,66 +75,10 @@ func Fig10(ctx context.Context) ([]Fig10Row, error) {
 		cells = append(cells, cell{task, "pulse"})
 	}
 
-	// With the batch lane enabled, all 18 ground-truth searches advance in
-	// lockstep through one SoA batch per bisection round before the sweep
-	// starts; the cells then score estimators against the precomputed
-	// truths. The exact batch lane is byte-identical to the scalar search,
-	// so the golden output is the same either way.
-	var gts []float64
-	switch {
-	case BatchEnabled(ctx):
-		reqs := make([]harness.GroundTruthReq, len(cells))
-		for i, c := range cells {
-			reqs[i] = harness.GroundTruthReq{Task: c.task}
-		}
-		gts, err = h.GroundTruthBatch(ctx, reqs)
+	perLoad, err := sweep.Map(ctx, cells, func(cctx context.Context, _ int, c cell) ([]Fig10Row, error) {
+		gt, err := h.GroundTruthCtx(cctx, c.task, 0)
 		if err != nil {
-			return nil, fmt.Errorf("expt: fig10 ground truth: %w", err)
-		}
-	case WarmEnabled(ctx):
-		// Warm-started: the figure's loads are two current ladders (nine
-		// uniform, nine pulse), each monotone in V_safe, so each ladder is
-		// one warm chain — every search after a ladder's first is hinted by
-		// its predecessor's result ± a guard band. The two chains are
-		// internally sequential (a hint needs its predecessor) but
-		// independent of each other, so they run as two parallel sweep
-		// cells; the per-load scoring sweep below keeps its full
-		// parallelism either way.
-		chains := [][]int{make([]int, 0, len(uniform)), make([]int, 0, len(pulse))}
-		for i, c := range cells {
-			if c.shape == "uniform" {
-				chains[0] = append(chains[0], i)
-			} else {
-				chains[1] = append(chains[1], i)
-			}
-		}
-		gts = make([]float64, len(cells))
-		if _, err = sweep.Map(ctx, chains, func(cctx context.Context, _ int, chain []int) (struct{}, error) {
-			var hint *harness.Bracket
-			for _, i := range chain {
-				gt, err := h.GroundTruthHinted(cctx, cells[i].task, 0, hint)
-				if err != nil {
-					return struct{}{}, fmt.Errorf("expt: fig10 %s: %w", cells[i].task.Name(), err)
-				}
-				gts[i] = gt
-				hint = &harness.Bracket{Lo: gt - harness.WarmGuardBand, Hi: gt + harness.WarmGuardBand}
-			}
-			return struct{}{}, nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	perLoad, err := sweep.Map(ctx, cells, func(cctx context.Context, i int, c cell) ([]Fig10Row, error) {
-		var gt float64
-		if gts != nil {
-			gt = gts[i]
-		} else {
-			var err error
-			gt, err = h.GroundTruthCtx(cctx, c.task, 0)
-			if err != nil {
-				return nil, fmt.Errorf("expt: fig10 %s: %w", c.task.Name(), err)
-			}
+			return nil, fmt.Errorf("expt: fig10 %s: %w", c.task.Name(), err)
 		}
 		rows := make([]Fig10Row, 0, len(Fig10Estimators))
 		for _, name := range Fig10Estimators {

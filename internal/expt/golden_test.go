@@ -49,6 +49,13 @@ func goldenCorpus() []goldenEntry {
 			}
 			return r.Table().Render(w)
 		}},
+		{name: "fig06", gen: func(ctx context.Context, w io.Writer) error {
+			rows, err := Fig6Ctx(ctx)
+			if err != nil {
+				return err
+			}
+			return Fig6Table(rows).Render(w)
+		}},
 		{name: "tbl03", gen: func(ctx context.Context, w io.Writer) error {
 			rows, err := Tbl3(ctx)
 			if err != nil {
@@ -69,6 +76,13 @@ func goldenCorpus() []goldenEntry {
 				return err
 			}
 			return Fig11Table(rows).Render(w)
+		}},
+		{name: "reprofile", gen: func(ctx context.Context, w io.Writer) error {
+			rows, err := ReprofileCtx(ctx)
+			if err != nil {
+				return err
+			}
+			return ReprofileTable(rows).Render(w)
 		}},
 		{name: "ablations", gen: func(ctx context.Context, w io.Writer) error {
 			ts, err := TimestepSweep(ctx)
@@ -184,9 +198,7 @@ func TestGolden(t *testing.T) {
 
 // TestGoldenWorkerInvariance is the determinism contract of the sweep
 // engine: the same experiment must produce byte-identical output whether it
-// runs on 1 worker, 4 workers, or every core — and, because the exact batch
-// lane is bit-equal to the scalar stepper, whether the ground-truth
-// searches route through the SoA lockstep batch or not.
+// runs on 1 worker, 4 workers, or every core.
 func TestGoldenWorkerInvariance(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.NumCPU()}
 	for _, e := range goldenCorpus() {
@@ -200,14 +212,6 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 				got := renderGolden(t, e, sweep.WithWorkers(context.Background(), n))
 				if !bytes.Equal(ref, got) {
 					t.Errorf("workers=%d output differs from workers=1\n%s", n, diffHint(ref, got))
-				}
-			}
-			// Batch-lane variant of the matrix: serial and saturated, both
-			// against the non-batch workers=1 reference.
-			for _, n := range []int{1, runtime.NumCPU()} {
-				got := renderGolden(t, e, WithBatch(sweep.WithWorkers(context.Background(), n)))
-				if !bytes.Equal(ref, got) {
-					t.Errorf("batch workers=%d output differs from scalar workers=1\n%s", n, diffHint(ref, got))
 				}
 			}
 		})

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -180,5 +182,54 @@ func TestGroundTruthWithHarvest(t *testing.T) {
 	litP, _ := h.GroundTruthWith(pulse, 10e-3)
 	if math.Abs(darkP-litP) > 10e-3 {
 		t.Errorf("1 ms pulse should be harvest-insensitive: %g vs %g", darkP, litP)
+	}
+}
+
+// countdownCtx answers its first left Err polls with nil and every later
+// one with context.Canceled, so a test can cancel a search at a chosen
+// poll — between probes or inside a probe's run — deterministically.
+type countdownCtx struct {
+	context.Context
+	left int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestGroundTruthCanceledPartway cancels the search at every context poll
+// it makes, on both steppers: wherever the cancellation lands — before the
+// feasibility probe, inside a bisection probe's run, after the last probe
+// — the search must return context.Canceled, never a V_safe or an
+// infeasibility verdict drawn from an aborted trial.
+func TestGroundTruthCanceledPartway(t *testing.T) {
+	task := load.NewPulse(25e-3, 10e-3)
+	for _, fast := range []bool{false, true} {
+		h := newHarness(t)
+		h.Fast = fast
+		want, err := h.GroundTruth(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const budget = 1 << 20
+		full := &countdownCtx{Context: context.Background(), left: budget}
+		got, err := h.GroundTruthCtx(full, task, 0)
+		if err != nil || got != want {
+			t.Fatalf("fast=%v: uncanceled search = %v, %v; want %v", fast, got, err, want)
+		}
+		polls := budget - full.left
+		if polls < 10 {
+			t.Fatalf("fast=%v: search polled its context only %d times", fast, polls)
+		}
+		for n := 0; n < polls; n++ {
+			v, err := h.GroundTruthCtx(&countdownCtx{Context: context.Background(), left: n}, task, 0)
+			if !errors.Is(err, context.Canceled) || v != 0 {
+				t.Fatalf("fast=%v: canceled at poll %d of %d: got %v, %v; want 0, context.Canceled", fast, n, polls, v, err)
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ type profSeg struct {
 // shared by every lane (and every bisection probe) that runs the profile.
 //
 // CompiledProfile is itself a load.Profile: Current(t) returns the value
-// sampled at compile time for the tick containing t, which on the tick grid
+// sampled at compile time for the tick nearest t, which on the tick grid
 // is bit-identical to the source profile's Current.
 type CompiledProfile struct {
 	name  string
@@ -90,9 +90,9 @@ func (c *CompiledProfile) Steps() int { return c.steps }
 // Segments returns the number of constant-current runs.
 func (c *CompiledProfile) Segments() int { return len(c.segs) }
 
-// Current returns the compiled sample for the tick containing t (0 beyond
-// the schedule). On the tick grid this is bit-identical to the source
-// profile.
+// Current returns the compiled sample for the tick nearest t — t/dt
+// rounded half up — and 0 beyond the schedule. On the tick grid this is
+// bit-identical to the source profile.
 func (c *CompiledProfile) Current(t float64) float64 {
 	k := int(t/c.dt + 0.5)
 	if k < 0 || k >= c.steps || len(c.segs) == 0 {
@@ -192,8 +192,8 @@ type BatchSystem struct {
 	// cur is the per-branch current scratch for the lane being stepped.
 	cur []float64
 
-	// sys holds the per-lane scalar systems that back the fast and
-	// fixed-point lanes (and the per-lane prep transcription reference).
+	// sys holds the per-lane scalar systems that back the fast lane (and
+	// the per-lane prep transcription reference).
 	sys []*System
 
 	// onTick, when non-nil, observes every exact-lane tick of every lane —
@@ -346,8 +346,7 @@ func (bs *BatchSystem) Reset() {
 		bs.res[l] = RunResult{VMin: math.Inf(1)}
 		bs.active = append(bs.active, l)
 
-		// Mirror the prep onto the lane's scalar system for the fast and
-		// fixed-point lanes.
+		// Mirror the prep onto the lane's scalar system for the fast lane.
 		s := bs.sys[l]
 		s.cfg.Storage.SetAll(bs.vhigh[l])
 		s.lastVT = bs.vhigh[l]
@@ -412,7 +411,7 @@ func (bs *BatchSystem) runFastLanes(opt BatchOptions) []RunResult {
 			Ctx:            opt.Ctx,
 			Fast:           true,
 		}
-		bs.res[l] = bs.sys[l].runCompiled(bs.sched[l], ro)
+		bs.res[l] = bs.sys[l].Run(bs.sched[l], ro)
 		bs.phase[l] = phaseDone
 	}
 	bs.active = bs.active[:0]
@@ -757,17 +756,6 @@ func (bs *BatchSystem) maxPowerPointLane(l int) float64 {
 	return vt
 }
 
-// runCompiled runs a compiled schedule on a scalar system: the fast path
-// iterates the compiled segments directly (no per-tick profile scan); the
-// exact path and observer-carrying runs fall back to Run with the schedule
-// as the profile, which is bit-identical to running the source profile.
-func (s *System) runCompiled(cp *CompiledProfile, opt RunOptions) RunResult {
-	if opt.Fast && s.fastEligible(opt) {
-		return s.runCompiledFast(cp, opt)
-	}
-	return s.Run(cp, opt)
-}
-
 // runCompiledFast is runFast with the segment scan replaced by the
 // compiled schedule. Bookkeeping matches runFast exactly.
 func (s *System) runCompiledFast(cp *CompiledProfile, opt RunOptions) RunResult {
@@ -779,8 +767,15 @@ func (s *System) runCompiledFast(cp *CompiledProfile, opt RunOptions) RunResult 
 		if err := opt.canceled(); err != nil {
 			return s.abort(res, float64(k)*dt, err)
 		}
+		// runFast splits segments on the demanded current with the
+		// baseline added, so neighbours the baseline rounds together merge.
 		iLoad := cp.segs[si].i + opt.Baseline
-		adv := s.advanceSegment(iLoad, opt.HarvestPower, cp.segs[si].ticks, &res)
+		ticks := cp.segs[si].ticks
+		for si+1 < len(cp.segs) && cp.segs[si+1].i+opt.Baseline == iLoad {
+			si++
+			ticks += cp.segs[si].ticks
+		}
+		adv := s.advanceSegment(iLoad, opt.HarvestPower, ticks, &res)
 		k += adv.ticks
 		if adv.failed {
 			res.PowerFailed = true

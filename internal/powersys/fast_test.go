@@ -114,6 +114,42 @@ func TestFastEquivalenceBaseline(t *testing.T) {
 	checkEquiv(t, "baseline", exact, fast)
 }
 
+// TestFastCompiledMatchesSource: a fast Run on CompileProfile(p) takes the
+// compiled schedule instead of rescanning p, and must report exactly what
+// a fast Run on p reports — math.Float64bits on every RunResult field —
+// across safe, marginal and brownout starting voltages, with and without
+// the rebound, harvest and a baseline current. These are the runs a fast
+// ground-truth search makes on every probe.
+func TestFastCompiledMatchesSource(t *testing.T) {
+	cases := []struct {
+		task    load.Profile
+		harvest float64
+	}{
+		{load.LoRa(), 0}, {load.NewUniform(25e-3, 10e-3), 0}, {load.NewPulse(50e-3, 1e-3), 0},
+		{load.Gesture(), 0}, {load.BLERadio(), 0},
+		{load.NewPulse(25e-3, 10e-3), 5e-3}, // harvest-subsidized
+		// 31.1 mA and the next float up are two compiled segments, but
+		// plus the 150 µA baseline they round to one demanded current: the
+		// source scan runs them as one segment, so the schedule must too.
+		{load.NewSeq("baseline-rounding", load.NewUniform(31.1e-3, 3e-3), load.NewUniform(math.Nextafter(31.1e-3, 1), 7e-3)), 0},
+	}
+	for _, c := range cases {
+		cp := CompileProfile(c.task, DefaultDT)
+		for _, vStart := range []float64{1.65, 1.8, 2.0, 2.3, 2.56} {
+			for _, opt := range []RunOptions{
+				{HarvestPower: c.harvest, SkipRebound: true, Fast: true},
+				{HarvestPower: c.harvest, Fast: true},
+				{HarvestPower: c.harvest, Baseline: 150e-6, SkipRebound: true, Fast: true},
+			} {
+				name := fmt.Sprintf("%s/v=%.2f/rebound=%v/baseline=%g", c.task.Name(), vStart, !opt.SkipRebound, opt.Baseline)
+				want := newEquivSystem(t, false, vStart).Run(c.task, opt)
+				got := newEquivSystem(t, false, vStart).Run(cp, opt)
+				checkBitwise(t, name, want, got)
+			}
+		}
+	}
+}
+
 // TestFastFallsBackWithObservers: Recorder/OnStep runs must take the exact
 // path even with Fast set, tick for tick.
 func TestFastFallsBackWithObservers(t *testing.T) {
