@@ -89,8 +89,8 @@ type SimulateRequest struct {
 
 // BatchRequest is the body of POST /v1/batch. Estimate elements and
 // simulation elements may be mixed in one request; each list is answered
-// by its own order-preserved result list. Simulations that share a power-
-// model shape run on the server's SoA lockstep batch stepper.
+// by its own order-preserved result list. Each simulation element answers
+// exactly as POST /v1/simulate would.
 type BatchRequest struct {
 	Requests    []VSafeRequest    `json:"requests,omitempty"`
 	Simulations []SimulateRequest `json:"simulations,omitempty"`

@@ -147,8 +147,9 @@ type Report struct {
 	// stepper plus memoized estimates.
 	FastPathSpeedup float64 `json:"fast_path_speedup"`
 	// BatchSpeedup is step/scalar-64 ns/op divided by step/batch-64 ns/op:
-	// the win of advancing 64 scenarios through the SoA lockstep batch
-	// stepper over running them one by one on the scalar fast path.
+	// the win of running 64 scenarios as batch fast lanes, each on a
+	// schedule compiled once, over running them one by one on the source
+	// profiles, which the fast path rescans per run.
 	BatchSpeedup float64 `json:"batch_speedup"`
 	// CoalesceSpeedup is misspath/miss-direct ns/op divided by
 	// misspath/miss-coalesced ns/op: the win of collapsing a same-key miss
@@ -206,6 +207,7 @@ func batchScenarios() []powersys.BatchScenario {
 		scens[i] = powersys.BatchScenario{
 			Profile: profiles[i%len(profiles)],
 			VStart:  vstarts[(i/len(profiles))%len(vstarts)],
+			Fast:    true,
 		}
 	}
 	return scens
@@ -365,10 +367,10 @@ func Collect() (*Report, error) {
 			}
 		})))
 
-	// --- micro: 64 scenarios, one-by-one on the scalar fast path versus one
-	// SoA lockstep batch. Both sides re-prepare (charge / discharge / force)
-	// and re-run per iteration; schedule compilation happens once outside
-	// the loop, which is the batch API's contract — compile once, run many.
+	// --- micro: 64 scenarios on the fast path, one-by-one on the source
+	// profiles versus one batch of fast lanes. Both sides re-prepare (charge
+	// / discharge / force) and re-run per iteration; the batch compiles its
+	// lanes' schedules once outside the loop — compile once, run many.
 	scens := batchScenarios()
 	base := powersys.Capybara()
 	scalarSys := make([]*powersys.System, len(scens))
@@ -410,7 +412,7 @@ func Collect() (*Report, error) {
 	batchRes := bestOf(benchReps, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bs.Reset()
-			for _, res := range bs.Run(powersys.BatchOptions{Fast: true, SkipRebound: true}) {
+			for _, res := range bs.Run(powersys.BatchOptions{SkipRebound: true}) {
 				if res.Err != nil {
 					batchErr = res.Err
 					b.Fatal(res.Err)

@@ -648,8 +648,8 @@ func (s *Server) handleVSafeR(ctx context.Context, r *http.Request) (any, error)
 	return EstimateResponse{VSafe: est.VSafe, VDelta: est.VDelta, VE: est.VE}, nil
 }
 
-// resolvedSim is one validated simulation element, ready to run on either
-// the scalar path or a lockstep batch lane.
+// resolvedSim is one validated simulation element, ready to run as a
+// batch lane.
 type resolvedSim struct {
 	cfg     powersys.Config
 	prof    load.Profile
@@ -682,8 +682,7 @@ func resolveSimulate(req SimulateRequest, catalog *partsdb.Index) (resolvedSim, 
 	return resolvedSim{cfg: rp.cfg, prof: rl.asProfile(), vStart: vStart, harvest: req.Harvest, fast: req.Fast}, nil
 }
 
-// simResponse maps a run result onto the wire shape, shared by the scalar
-// and batch paths so their answers are field-for-field comparable.
+// simResponse maps a run result onto the wire shape.
 func simResponse(res powersys.RunResult) SimulateResponse {
 	resp := SimulateResponse{
 		Completed:   res.Completed,
@@ -709,31 +708,30 @@ func ctxFailure(res powersys.RunResult) error {
 	return nil
 }
 
-// simulateScalar runs one element on its own freshly prepared system: the
-// harness's launch-validation sequence — charge to V_high, discharge to
-// the requested start, force delivery on, run.
-func simulateScalar(ctx context.Context, rs resolvedSim) (SimulateResponse, error) {
-	sys, err := powersys.New(rs.cfg)
+// simulate runs resolved elements as the lanes of one batch, each on its
+// own system prepared with the harness's launch-validation sequence —
+// charge to V_high, discharge to the requested start, force delivery on,
+// run. /v1/simulate is its one-lane case and /v1/batch runs it per chunk,
+// so both endpoints answer an element alike. A request deadline or client
+// disconnect fails the call.
+func simulate(ctx context.Context, sims []resolvedSim) ([]SimulateResponse, error) {
+	scens := make([]powersys.BatchScenario, len(sims))
+	for j := range sims {
+		rs := &sims[j]
+		scens[j] = powersys.BatchScenario{Profile: rs.prof, Config: &rs.cfg, VStart: rs.vStart, Harvest: rs.harvest, Fast: rs.fast}
+	}
+	bs, err := powersys.NewBatch(sims[0].cfg, scens)
 	if err != nil {
-		return SimulateResponse{}, specErrorf("simulate: %v", err)
+		return nil, specErrorf("simulate: %v", err)
 	}
-	if err := sys.ChargeTo(rs.cfg.VHigh); err != nil {
-		return SimulateResponse{}, specErrorf("simulate: %v", err)
+	resps := make([]SimulateResponse, len(sims))
+	for j, res := range bs.Run(powersys.BatchOptions{SkipRebound: true, Ctx: ctx}) {
+		if err := ctxFailure(res); err != nil {
+			return nil, err
+		}
+		resps[j] = simResponse(res)
 	}
-	if err := sys.DischargeTo(rs.vStart); err != nil {
-		return SimulateResponse{}, specErrorf("simulate: %v", err)
-	}
-	sys.Monitor().Force(true)
-	res := sys.Run(rs.prof, powersys.RunOptions{
-		SkipRebound:  true,
-		HarvestPower: rs.harvest,
-		Fast:         rs.fast,
-		Ctx:          ctx,
-	})
-	if err := ctxFailure(res); err != nil {
-		return SimulateResponse{}, err
-	}
-	return simResponse(res), nil
+	return resps, nil
 }
 
 func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, error) {
@@ -745,7 +743,11 @@ func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, erro
 	if err != nil {
 		return nil, err
 	}
-	return simulateScalar(ctx, rs)
+	resps, err := simulate(ctx, []resolvedSim{rs})
+	if err != nil {
+		return nil, err
+	}
+	return resps[0], nil
 }
 
 // handleBatch answers every element in order and per element: one
@@ -755,7 +757,7 @@ func (s *Server) handleSimulate(ctx context.Context, r *http.Request) (any, erro
 // VSafeCache.PGBatch call per chunk (one chunk per worker, at most
 // estimateChunk elements), which walks the chunk's misses through
 // Algorithm 1 in lockstep lanes (estimateBatch). Simulation elements run
-// on the SoA lockstep batch stepper, one chunk of lanes per worker
+// through simulate, /v1/simulate's path, one chunk of lanes per worker
 // dispatch.
 func (s *Server) handleBatch(ctx context.Context, r *http.Request) (any, error) {
 	var req BatchRequest
@@ -884,94 +886,38 @@ func (s *Server) estimateBatch(ctx context.Context, _ int, chunk []resolvedEstim
 	return out, nil
 }
 
-// batchChunk is how many simulation lanes one worker dispatch advances in
-// lockstep: enough to amortize the SoA setup, small enough that a request's
-// lanes still spread across the pool.
+// batchChunk is how many simulation lanes one worker dispatch runs; the
+// pool checks the request's deadline between chunks.
 const batchChunk = 64
 
 // simulateBatch answers the Simulations list. Elements are validated
-// individually (a malformed one reports its error in place), then grouped
-// by stepper — exact and fast lanes run in separate lockstep batches — and
-// chunked over the sweep pool. Every lane's verdict is byte-identical to
-// the scalar /v1/simulate answer for the same element: the exact batch
-// lane is bit-equal by construction and the parity tests pin it.
+// individually (a malformed one reports its error in place), and the
+// valid ones run through simulate, chunked over the sweep pool, so every
+// element answers exactly as /v1/simulate would.
 func (s *Server) simulateBatch(ctx context.Context, reqs []SimulateRequest) ([]BatchSimResult, error) {
 	out := make([]BatchSimResult, len(reqs))
-	type lane struct {
-		idx int
-		rs  resolvedSim
-	}
-	var exact, fast []lane
+	idx := make([]int, 0, len(reqs))
+	live := make([]resolvedSim, 0, len(reqs))
 	for i, req := range reqs {
 		rs, err := resolveSimulate(req, s.catalog)
 		if err != nil {
 			out[i] = BatchSimResult{Error: err.Error()}
 			continue
 		}
-		if rs.fast {
-			fast = append(fast, lane{i, rs})
-		} else {
-			exact = append(exact, lane{i, rs})
-		}
+		idx = append(idx, i)
+		live = append(live, rs)
 	}
-
-	runChunk := func(ctx context.Context, chunk []lane, useFast bool) ([]SimulateResponse, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		scens := make([]powersys.BatchScenario, len(chunk))
-		for j, ln := range chunk {
-			cfg := ln.rs.cfg
-			scens[j] = powersys.BatchScenario{
-				Profile: ln.rs.prof,
-				Config:  &cfg,
-				VStart:  ln.rs.vStart,
-				Harvest: ln.rs.harvest,
-			}
-		}
-		bs, err := powersys.NewBatch(chunk[0].rs.cfg, scens)
-		if err == nil {
-			results := bs.Run(powersys.BatchOptions{SkipRebound: true, Fast: useFast, Ctx: ctx})
-			resps := make([]SimulateResponse, len(chunk))
-			for j := range chunk {
-				if err := ctxFailure(results[j]); err != nil {
-					return nil, err
-				}
-				resps[j] = simResponse(results[j])
-			}
-			return resps, nil
-		}
-		// Shape the batch lane cannot hold (mixed timesteps, branch
-		// counts): fall back to the scalar path below.
-		resps := make([]SimulateResponse, len(chunk))
-		for j, ln := range chunk {
-			r, err := simulateScalar(ctx, ln.rs)
-			if err != nil {
-				return nil, err
-			}
-			resps[j] = r
-		}
-		return resps, nil
+	if len(live) == 0 {
+		return out, nil
 	}
-
-	for _, group := range []struct {
-		lanes   []lane
-		useFast bool
-	}{{exact, false}, {fast, true}} {
-		group := group
-		if len(group.lanes) == 0 {
-			continue
-		}
-		resps, err := sweep.MapChunks(ctx, group.lanes, batchChunk, func(ctx context.Context, _ int, chunk []lane) ([]SimulateResponse, error) {
-			return runChunk(ctx, chunk, group.useFast)
-		}, sweep.Workers(s.cfg.Workers))
-		if err != nil {
-			return nil, err
-		}
-		for j, ln := range group.lanes {
-			r := resps[j]
-			out[ln.idx] = BatchSimResult{Result: &r}
-		}
+	resps, err := sweep.MapChunks(ctx, live, batchChunk, func(ctx context.Context, _ int, chunk []resolvedSim) ([]SimulateResponse, error) {
+		return simulate(ctx, chunk)
+	}, sweep.Workers(s.cfg.Workers))
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range idx {
+		out[i] = BatchSimResult{Result: &resps[j]}
 	}
 	return out, nil
 }

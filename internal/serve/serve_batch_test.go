@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"sync"
@@ -24,12 +25,10 @@ func simCorpus() []SimulateRequest {
 	}
 }
 
-// checkSimParity compares a batch element's verdict against the scalar
-// /v1/simulate answer for the same request. Exact elements must match bit
-// for bit; fast elements are bounded (the fast batch lane segments the
-// compiled schedule differently from the scalar fast scan) but must agree
-// on the verdict.
-func checkSimParity(t *testing.T, name string, got, want SimulateResponse, exact bool) {
+// checkSimParity requires a batch element to answer byte-identically
+// (math.Float64bits on every float) to the /v1/simulate answer for the
+// same request.
+func checkSimParity(t *testing.T, name string, got, want SimulateResponse) {
 	t.Helper()
 	if got.Completed != want.Completed || got.PowerFailed != want.PowerFailed || got.Error != want.Error {
 		t.Errorf("%s: verdict diverged: batch %+v, scalar %+v", name, got, want)
@@ -46,38 +45,67 @@ func checkSimParity(t *testing.T, name string, got, want SimulateResponse, exact
 		{"energy_used", got.EnergyUsed, want.EnergyUsed},
 	}
 	for _, f := range fields {
-		if exact {
-			if math.Float64bits(f.gv) != math.Float64bits(f.wv) {
-				t.Errorf("%s: %s %v (%#x) != scalar %v (%#x)",
-					name, f.fname, f.gv, math.Float64bits(f.gv), f.wv, math.Float64bits(f.wv))
-			}
-		} else if math.Abs(f.gv-f.wv) > 1e-3 {
-			t.Errorf("%s: %s %v vs scalar %v beyond 1 mV", name, f.fname, f.gv, f.wv)
+		if math.Float64bits(f.gv) != math.Float64bits(f.wv) {
+			t.Errorf("%s: %s %v (%#x) != scalar %v (%#x)",
+				name, f.fname, f.gv, math.Float64bits(f.gv), f.wv, math.Float64bits(f.wv))
 		}
 	}
 }
 
+// mixedPoolCorpus interleaves exact and fast elements across the buffers
+// the end-to-end benchmark targets — the Capybara default and variants in
+// C, ESR, aging and the monitor window — with launches from the bottom to
+// the top of each window, so some brown out.
+func mixedPoolCorpus() []SimulateRequest {
+	pool := []PowerSpec{{}, {C: 33e-3, ESR: 3}, {Age: 0.5}, {VOff: 1.8, VHigh: 2.4}, {C: 60e-3, ESR: 2}}
+	var out []SimulateRequest
+	for i := 0; i < 20; i++ {
+		p := pool[i%len(pool)]
+		vOff, vHigh := 1.6, 2.56
+		if p.VOff != 0 {
+			vOff, vHigh = p.VOff, p.VHigh
+		}
+		out = append(out, SimulateRequest{
+			Power:  p,
+			Load:   LoadSpec{Shape: "uniform", I: 5e-3 + 35e-3*float64(i%7)/6, T: 5e-3 + 25e-3*float64(i%4)/3},
+			VStart: vOff + 0.02 + float64(i%5)/4*(vHigh-vOff-0.02),
+			Fast:   i%2 == 1,
+		})
+	}
+	return out
+}
+
 // TestBatchSimulateParity: every element of a batch simulation answers
-// byte-identically to posting the same element to /v1/simulate alone —
-// the serving-layer face of the batch stepper's equivalence contract.
+// byte-identically to posting the same element to /v1/simulate alone, on
+// either stepper and with exact and fast elements mixed in one batch.
 func TestBatchSimulateParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, fast := range []bool{false, true} {
-		reqs := simCorpus()
-		for i := range reqs {
-			reqs[i].Fast = fast
+	exact, fast := simCorpus(), simCorpus()
+	for i := range fast {
+		fast[i].Fast = true
+	}
+	for _, tc := range []struct {
+		name string
+		reqs []SimulateRequest
+	}{{"exact", exact}, {"fast", fast}, {"mixed-pool", mixedPoolCorpus()}} {
+		got := decodeResp[BatchResponse](t, postJSON(t, ts.URL+"/v1/batch", BatchRequest{Simulations: tc.reqs}), http.StatusOK)
+		if len(got.Simulations) != len(tc.reqs) {
+			t.Fatalf("%s: got %d results, want %d", tc.name, len(got.Simulations), len(tc.reqs))
 		}
-		got := decodeResp[BatchResponse](t, postJSON(t, ts.URL+"/v1/batch", BatchRequest{Simulations: reqs}), http.StatusOK)
-		if len(got.Simulations) != len(reqs) {
-			t.Fatalf("fast=%v: got %d results, want %d", fast, len(got.Simulations), len(reqs))
-		}
-		for i, req := range reqs {
+		completed := 0
+		for i, req := range tc.reqs {
 			el := got.Simulations[i]
 			if el.Result == nil {
-				t.Fatalf("fast=%v: element %d missing result: %+v", fast, i, el)
+				t.Fatalf("%s: element %d missing result: %+v", tc.name, i, el)
+			}
+			if el.Result.Completed {
+				completed++
 			}
 			want := decodeResp[SimulateResponse](t, postJSON(t, ts.URL+"/v1/simulate", req), http.StatusOK)
-			checkSimParity(t, req.Load.Shape+req.Load.Peripheral, *el.Result, want, !fast)
+			checkSimParity(t, fmt.Sprintf("%s/%d/%s%s/fast=%v", tc.name, i, req.Load.Shape, req.Load.Peripheral, req.Fast), *el.Result, want)
+		}
+		if completed == 0 || completed == len(tc.reqs) {
+			t.Errorf("%s: want completing and failing elements, got %d/%d completed", tc.name, completed, len(tc.reqs))
 		}
 	}
 }

@@ -234,9 +234,9 @@ func Map[I, O any](ctx context.Context, items []I, fn func(ctx context.Context, 
 // out[i] corresponds to items[i] exactly as with Map. It is the
 // granularity-tuned form of Map for work whose per-item cost is too small
 // to amortize a dispatch — or that gets cheaper in bulk, like the serving
-// layer's batch simulations, where each chunk becomes one SoA lockstep
-// batch run. fn receives the chunk's starting index into items and must
-// return exactly len(chunk) results; anything else is an error.
+// layer's batch estimates, where each chunk becomes one lockstep walk of
+// Algorithm 1 misses. fn receives the chunk's starting index into items
+// and must return exactly len(chunk) results; anything else is an error.
 func MapChunks[I, O any](ctx context.Context, items []I, size int, fn func(ctx context.Context, start int, chunk []I) ([]O, error), opts ...Option) ([]O, error) {
 	if size < 1 {
 		size = 1
