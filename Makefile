@@ -1,5 +1,5 @@
 # Development entry points. `make check` is the gate a change must pass:
-# static analysis, a full build, every suite under the race detector (the
+# static analysis, the gofmt gate, a full build, every suite under the race detector (the
 # golden corpus and the full-size soaks included), the zero-alloc guards
 # the race build cannot run, the Algorithm 1 parity tests on GOAMD64=v3, the reduced soak goldens, the out-of-process
 # serving smoke, the end-to-end benchmark module's vet and tests, and the
@@ -9,13 +9,18 @@
 
 GO ?= go
 
-.PHONY: build vet test race golden golden-update soak alloc pg-v3 batch bench benchgate serve-smoke e2ebench fuzz-decode chaos shard stream crash check
+.PHONY: build vet fmt test race golden golden-update soak alloc pg-v3 batch bench benchgate serve-smoke e2ebench fuzz-decode chaos shard stream crash check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every .go file, e2ebench/ included, must be gofmt-clean; the offenders
+# are listed on failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./... -count=1
@@ -158,4 +163,4 @@ crash:
 	$(GO) test -race ./internal/expt -run 'TestCrashSoak' -short -count=1
 	$(GO) test ./internal/journal -count=1
 
-check: vet build alloc pg-v3 race serve-smoke e2ebench chaos shard benchgate
+check: vet fmt build alloc pg-v3 race serve-smoke e2ebench chaos shard benchgate

@@ -256,29 +256,15 @@ func vSweep(ctx context.Context, stdout io.Writer, task load.Profile, voltages [
 }
 
 func pickLoad(peripheral, iStr, tStr, shape string) (load.Profile, error) {
-	switch peripheral {
-	case "gesture":
-		return load.Gesture(), nil
-	case "ble":
-		return load.BLERadio(), nil
-	case "mnist":
-		return load.ComputeAccel(), nil
-	case "lora":
-		return load.LoRa(), nil
-	case "":
-	default:
-		return nil, fmt.Errorf("unknown peripheral %q", peripheral)
+	var i, t float64
+	if peripheral == "" {
+		var err error
+		if i, err = units.Parse(iStr); err != nil {
+			return nil, fmt.Errorf("bad -i: %w", err)
+		}
+		if t, err = units.Parse(tStr); err != nil {
+			return nil, fmt.Errorf("bad -t: %w", err)
+		}
 	}
-	i, err := units.Parse(iStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad -i: %w", err)
-	}
-	t, err := units.Parse(tStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad -t: %w", err)
-	}
-	if shape == "pulse" {
-		return load.NewPulse(i, t), nil
-	}
-	return load.NewUniform(i, t), nil
+	return load.Named(peripheral, shape, i, t)
 }

@@ -36,6 +36,9 @@ func TestPickLoad(t *testing.T) {
 	if _, err := pickLoad("", "5mA", "bad", "uniform"); err == nil {
 		t.Error("bad duration accepted")
 	}
+	if _, err := pickLoad("", "5mA", "10ms", "triangle"); err == nil {
+		t.Error("unknown shape accepted")
+	}
 }
 
 func TestParseVSweep(t *testing.T) {
@@ -66,6 +69,8 @@ func TestRealMainErrors(t *testing.T) {
 		{"bad flag value", []string{"-vstart", "high"}, 2, "invalid value"},
 		{"negative workers", []string{"-workers", "-3"}, 2, "-workers must be >= 0"},
 		{"unknown peripheral", []string{"-peripheral", "ghost"}, 1, `unknown peripheral "ghost"`},
+		{"unknown shape", []string{"-shape", "nope"}, 1, `unknown shape "nope"`},
+		{"unknown shape in sweep", []string{"-shape", "nope", "-vsweep", "1.8,2.4"}, 1, `unknown shape "nope"`},
 		{"bad capacitance", []string{"-c", "xyz"}, 1, "bad -c"},
 		{"bad decoupling", []string{"-dec", "junk"}, 1, "bad -dec"},
 		{"bad vsweep entry", []string{"-vsweep", "1.8,abc"}, 1, "bad -vsweep entry"},

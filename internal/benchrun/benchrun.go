@@ -213,17 +213,6 @@ func batchScenarios() []powersys.BatchScenario {
 	return scens
 }
 
-func capybaraModel(cfg powersys.Config) core.PowerModel {
-	return core.PowerModel{
-		C:     cfg.Storage.TotalCapacitance(),
-		ESR:   capacitor.Flat(cfg.Storage.Main().ESR),
-		VOut:  cfg.Output.VOut,
-		VOff:  cfg.VOff,
-		VHigh: cfg.VHigh,
-		Eff:   cfg.Output.Efficiency,
-	}
-}
-
 // benchReps is how many times each measurement repeats; the fastest run
 // is the one recorded. A single self-calibrated run can land tens of
 // percent off on a shared VM, and noise only ever adds time — so the
@@ -384,15 +373,10 @@ func Collect() (*Report, error) {
 		for i := 0; i < b.N; i++ {
 			for j, sc := range scens {
 				sys := scalarSys[j]
-				if err := sys.ChargeTo(base.VHigh); err != nil {
+				if err := sys.PrepareAt(sc.VStart); err != nil {
 					batchErr = err
 					b.Fatal(err)
 				}
-				if err := sys.DischargeTo(sc.VStart); err != nil {
-					batchErr = err
-					b.Fatal(err)
-				}
-				sys.Monitor().Force(true)
 				if res := sys.Run(sc.Profile, powersys.RunOptions{Fast: true, SkipRebound: true}); res.Err != nil {
 					batchErr = res.Err
 					b.Fatal(res.Err)
@@ -431,7 +415,7 @@ func Collect() (*Report, error) {
 	}
 
 	// --- micro: Algorithm 1 direct versus memoized (warm line).
-	model := capybaraModel(powersys.Capybara())
+	model := profiler.ModelFor(powersys.Capybara())
 	tr := load.Sample(load.LoRa(), load.SampleRateDefault)
 	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/pg-direct",
 		bestOf(benchReps, func(b *testing.B) {

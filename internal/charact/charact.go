@@ -118,13 +118,9 @@ func MeasureEfficiencyAt(cfg powersys.Config, v, iTest float64) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	if err := sys.ChargeTo(c.VHigh); err != nil {
+	if err := sys.PrepareAt(v); err != nil {
 		return 0, err
 	}
-	if err := sys.DischargeTo(v); err != nil {
-		return 0, err
-	}
-	sys.Monitor().Force(true)
 	rec := trace.NewRecorder(1)
 	res := sys.Run(load.Uniform{ID: "eff-probe", ILoad: iTest, TPulse: 5e-3},
 		powersys.RunOptions{Recorder: rec, SkipRebound: true})

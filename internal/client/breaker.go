@@ -68,8 +68,6 @@ type BreakerConfig struct {
 	// instead of wall-clock time: the N+1st call after opening is admitted
 	// as the half-open trial. Deterministic — used by the chaos soak.
 	CooldownCalls int
-	// HalfOpenProbes bounds concurrent trial requests in half-open (<=0: 1).
-	HalfOpenProbes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -78,9 +76,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 && c.CooldownCalls <= 0 {
 		c.Cooldown = 2 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
 	}
 	return c
 }
@@ -158,7 +153,7 @@ func (b *Breaker) Allow() bool {
 		b.inTrial = 1
 		return true
 	default: // HalfOpen
-		if b.inTrial >= b.cfg.HalfOpenProbes {
+		if b.inTrial > 0 { // one half-open trial at a time
 			return false
 		}
 		b.inTrial++

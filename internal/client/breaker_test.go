@@ -64,7 +64,7 @@ func TestBreakerEventCooldownAndRecovery(t *testing.T) {
 	if got := b.State(); got != HalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
-	// Concurrent second trial is refused (HalfOpenProbes = 1).
+	// Concurrent second trial is refused (one half-open trial at a time).
 	if b.Allow() {
 		t.Fatal("second concurrent half-open trial admitted")
 	}

@@ -53,8 +53,6 @@ type StreamConfig struct {
 	// tail (<=0: DefaultStreamTail). Keeping them equal is what makes a
 	// rebuilt session's window identical to the lost one's.
 	Ring int
-	// Buffer sizes the Updates channel (<=0: 16).
-	Buffer int
 }
 
 // Sample is one observation without its sequence number — the stream
@@ -112,13 +110,10 @@ func (p *Pool) OpenStream(ctx context.Context, cfg StreamConfig) (*Stream, api.S
 	if cfg.Ring > api.MaxStreamRing {
 		cfg.Ring = api.MaxStreamRing
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 16
-	}
 	s := &Stream{
 		p:        p,
 		cfg:      cfg,
-		updates:  make(chan api.StreamUpdate, cfg.Buffer),
+		updates:  make(chan api.StreamUpdate, 16),
 		terminal: make(chan api.StreamUpdate, 1),
 	}
 	snap, err := s.attach(ctx)

@@ -81,7 +81,7 @@ func ADCBitsSweep(ctx context.Context) ([]ADCBitsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := capybaraModel(cfg)
+	model := profiler.ModelFor(cfg)
 	task := load.NewPulse(25e-3, 10e-3)
 	gt, err := h.GroundTruthCtx(ctx, task, 0)
 	if err != nil {
@@ -137,7 +137,7 @@ func ISRPeriodSweep(ctx context.Context) ([]ISRPeriodRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := capybaraModel(cfg)
+	model := profiler.ModelFor(cfg)
 	task := load.NewPulse(50e-3, 1e-3)
 	gt, err := h.GroundTruthCtx(ctx, task, 0)
 	if err != nil {
@@ -203,7 +203,7 @@ func ESRLossSweep(ctx context.Context) ([]ESRLossRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := capybaraModel(cfg)
+	model := profiler.ModelFor(cfg)
 	paper := model
 	paper.OmitESRLoss = true
 

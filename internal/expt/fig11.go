@@ -34,7 +34,7 @@ func Fig11Peripherals() []load.Profile {
 
 // fig11Estimate runs one estimator on one peripheral, on private systems.
 func fig11Estimate(h *harness.Harness, name string, task load.Profile) (float64, error) {
-	model := capybaraModel(h.Config())
+	model := profiler.ModelFor(h.Config())
 	switch name {
 	case "Energy-V":
 		return baseline.Estimate(baseline.EnergyV, h, task), nil

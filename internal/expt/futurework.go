@@ -23,7 +23,7 @@ type ChargeTypesResult struct {
 // disciplines and validates the levels on the simulator.
 func ChargeTypes() (ChargeTypesResult, error) {
 	cfg := powersys.Capybara()
-	model := capybaraModel(cfg)
+	model := profiler.ModelFor(cfg)
 	pg := profiler.PG{Model: model}
 
 	computeLoad := load.NewUniform(2e-3, 200e-3)
@@ -65,13 +65,9 @@ func ChargeTypes() (ChargeTypesResult, error) {
 		if err != nil {
 			return false, err
 		}
-		if err := sys.ChargeTo(c.VHigh); err != nil {
+		if err := sys.PrepareAt(v); err != nil {
 			return false, err
 		}
-		if err := sys.DischargeTo(v); err != nil {
-			return false, err
-		}
-		sys.Monitor().Force(true)
 		res := sys.Run(radioLoad, powersys.RunOptions{SkipRebound: true})
 		return res.Completed && res.VMin >= c.VOff, nil
 	}

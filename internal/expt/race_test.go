@@ -72,7 +72,7 @@ func TestRaceChaos(t *testing.T) {
 	run("vsafe-cache", func() error {
 		ctxN := sweep.WithWorkers(context.Background(), runtime.NumCPU())
 		pg := profiler.PG{
-			Model: capybaraModel(powersys.Capybara()),
+			Model: profiler.ModelFor(powersys.Capybara()),
 			Cache: core.NewVSafeCache(4),
 		}
 		tasks := append(load.TableIIIUniform(), load.TableIIIPulse()...)

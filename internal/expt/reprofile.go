@@ -41,7 +41,7 @@ func ReprofileCtx(ctx context.Context) ([]ReprofileRow, error) {
 		return nil, err
 	}
 	h.Fast = FastEnabled(ctx)
-	model := capybaraModel(cfg)
+	model := profiler.ModelFor(cfg)
 	task := load.ComputeAccel() // 1.1 s: strongly harvest-sensitive
 
 	profileAt := func(harvest float64) (float64, error) {

@@ -151,7 +151,7 @@ func soakCell(cfg powersys.Config, prog intermittent.Program, gateName string, f
 	c := cfg
 	c.Storage = cfg.Storage.Clone()
 	in.ApplyStorage(c.Storage)
-	model := capybaraModel(c)
+	model := profiler.ModelFor(c)
 
 	var gate intermittent.Gate
 	if gateName == "energy" {

@@ -109,7 +109,7 @@ type libraryRef struct {
 
 func newLibraryRef() *libraryRef {
 	return &libraryRef{pg: profiler.PG{
-		Model: capybaraModel(powersys.Capybara()),
+		Model: profiler.ModelFor(powersys.Capybara()),
 		Cache: core.NewVSafeCache(0),
 	}}
 }

@@ -64,59 +64,69 @@ func TestParseUnits(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"seed",                   // seed without value
-		"seed:x",                 // non-numeric seed
-		"seed:1.5",               // fractional seed
-		"meteor",                 // unknown kind
-		"sag",                    // missing required key
-		"sag:frac=1.5",           // out of range
-		"sag:frac=0.5,frac=0.6",  // duplicate key
-		"sag:frac",               // not key=value
-		"leak:i=0",               // zero leak
-		"leak:i=2",               // 2 A leak is a short, not a fault
-		"age:life=2",             // beyond end of life
-		"esr:factor=0",           // zero multiplier
-		"offset:v=2",             // ±1 V bound
-		"gain:factor=0",          // zero gain
-		"noise:sigma=-1mV",       // negative sigma
-		"stuck:bit=12",           // 12-bit ADC has bits 0..11
-		"stuck:bit=3,val=2",      // val must be 0/1
-		"stuck:val=1",            // missing bit
-		"jitter:sigma=1",         // 1 s jitter is out of range
-		"dropout:dur=-1",         // negative window
-		"dropout:period=1",       // period without dur
-		"dropout:dur=2s,period=1s", // dur exceeds period
-		"dropout:frac=0.5",       // key from another kind
-		"noise:sigma=1mV,x=2",    // unknown key
+	cases := []struct{ in, want string }{
+		{"seed", "faults: seed clause needs a value (seed:N)"},
+		{"seed:x", `faults: bad seed "x"`},
+		{"seed:1.5", `faults: bad seed "1.5"`},
+		{"meteor", `faults: unknown fault kind "meteor"`},
+		{"sag", `faults: sag: missing required key "frac"`},
+		{"sag:frac=1.5", "faults: sag frac must be in [0,1], got 1.5"},
+		{"sag:frac=0.5,frac=0.6", `faults: sag: duplicate key "frac"`},
+		{"sag:frac", `faults: sag: expected key=value, got "frac"`},
+		{"sag:frac=x", `faults: sag: bad value for frac: units: bad number "x": strconv.ParseFloat: parsing "": invalid syntax`},
+		{"leak:i=0", "faults: leak i must be in (0,1] A, got 0"},
+		{"leak:i=2", "faults: leak i must be in (0,1] A, got 2"}, // a short, not a fault
+		{"age:life=2", "faults: age life must be in [0,1], got 2"},
+		{"esr:factor=0", "faults: esr factor must be in (0,100], got 0"},
+		{"offset:v=2", "faults: offset v must be within ±1 V, got 2"},
+		{"gain:factor=0", "faults: gain factor must be in (0,10], got 0"},
+		{"noise:sigma=-1mV", "faults: noise sigma must be in [0,1] V, got -0.001"},
+		{"stuck:bit=12", "faults: stuck bit must be an integer in [0,11], got 12"},
+		{"stuck:bit=3,val=2", "faults: stuck val must be 0 or 1, got 2"},
+		{"stuck:val=1", `faults: stuck: missing required key "bit"`},
+		{"jitter:sigma=1", "faults: jitter sigma must be in [0,0.1] s, got 1"},
+		{"dropout:dur=-1", "faults: dropout: window times must be >= 0"},
+		{"dropout:period=1", "faults: dropout: period needs dur"},
+		{"dropout:dur=2s,period=1s", "faults: dropout: dur exceeds period"},
+		{"dropout:frac=0.5", `faults: dropout: unknown key "frac"`},
+		{"noise:sigma=1mV,x=2", `faults: noise: unknown key "x"`},
 	}
-	for _, s := range bad {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) accepted", s)
+	for _, c := range cases {
+		_, err := Parse(c.in)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted", c.in)
+		} else if err.Error() != c.want {
+			t.Errorf("Parse(%q) error\n got %q\nwant %q", c.in, err, c.want)
 		}
 	}
 }
 
 func TestSpecStringRoundTrip(t *testing.T) {
-	specs := []string{
-		"dropout",
-		"dropout:at=0.3,dur=0.6,period=1.2",
-		"seed:11;offset:v=0.01;gain:factor=1.003;noise:sigma=0.003;stuck:bit=2;jitter:sigma=0.0002",
-		"sag:frac=0.35;leak:at=1,dur=1,i=0.003,period=3",
-		"age:life=0.5;esr:factor=1.5",
-		"stuck:bit=5,val=0",
+	cases := []struct{ in, canon string }{
+		{"dropout", "dropout"},
+		{"dropout:period=1.2,dur=0.6,at=0.3", "dropout:at=0.3,dur=0.6,period=1.2"},
+		{"seed:11;offset:v=10mV;gain:factor=1.003;noise:sigma=3mV;stuck:bit=2;jitter:sigma=200us",
+			"seed:11;offset:v=0.01;gain:factor=1.003;noise:sigma=0.003;stuck:bit=2;jitter:sigma=0.00019999999999999998"},
+		{"sag:frac=0.35;leak:at=1,dur=1,i=0.003,period=3", "sag:frac=0.35;leak:at=1,dur=1,i=0.003,period=3"},
+		{"age:life=0.5;esr:factor=1.5", "age:life=0.5;esr:factor=1.5"},
+		{"stuck:bit=5,val=0", "stuck:bit=5,val=0"},
+		{"seed:1;stuck:bit=5,val=1", "stuck:bit=5"},
+		{"seed:0;leak:i=1mA,at=2", "seed:0;leak:at=2,i=0.001"},
 	}
-	for _, s := range specs {
-		spec, err := Parse(s)
+	for _, c := range cases {
+		spec, err := Parse(c.in)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
+			t.Fatalf("Parse(%q): %v", c.in, err)
+		}
+		if got := spec.String(); got != c.canon {
+			t.Errorf("String(%q) = %q, want %q", c.in, got, c.canon)
 		}
 		again, err := Parse(spec.String())
 		if err != nil {
-			t.Fatalf("Parse(String(%q)) = Parse(%q): %v", s, spec.String(), err)
+			t.Fatalf("Parse(String(%q)) = Parse(%q): %v", c.in, spec.String(), err)
 		}
 		if !reflect.DeepEqual(spec, again) {
-			t.Errorf("round trip of %q: %+v != %+v", s, spec, again)
+			t.Errorf("round trip of %q: %+v != %+v", c.in, spec, again)
 		}
 	}
 }
@@ -127,11 +137,11 @@ func TestWindowActive(t *testing.T) {
 		t    float64
 		want bool
 	}{
-		{Window{}, 0, true},                          // zero window = always
+		{Window{}, 0, true}, // zero window = always
 		{Window{}, 1e9, true},
-		{Window{At: 2}, 1.9, false},                  // open-ended from At
+		{Window{At: 2}, 1.9, false}, // open-ended from At
 		{Window{At: 2}, 2.0, true},
-		{Window{At: 2, Dur: 0.5}, 2.4, true},         // one burst
+		{Window{At: 2, Dur: 0.5}, 2.4, true}, // one burst
 		{Window{At: 2, Dur: 0.5}, 2.6, false},
 		{Window{At: 1, Dur: 0.2, Period: 1}, 1.1, true}, // repeating burst
 		{Window{At: 1, Dur: 0.2, Period: 1}, 1.5, false},

@@ -57,12 +57,26 @@ func cloneCfg(cfg powersys.Config) powersys.Config {
 // NewSystem returns a fresh, isolated system charged to V_high with the
 // output booster armed.
 func (h *Harness) NewSystem() *powersys.System {
+	sys := h.system()
+	if err := sys.ChargeTo(h.cfg.VHigh); err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+// preparedAt returns a fresh, isolated system readied by PrepareAt(vStart).
+func (h *Harness) preparedAt(vStart float64) *powersys.System {
+	sys := h.system()
+	if err := sys.PrepareAt(vStart); err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+func (h *Harness) system() *powersys.System {
 	sys, err := powersys.New(cloneCfg(h.cfg))
 	if err != nil {
 		panic(err) // unreachable: validated in New
-	}
-	if err := sys.ChargeTo(h.cfg.VHigh); err != nil {
-		panic(err)
 	}
 	return sys
 }
@@ -71,27 +85,9 @@ func (h *Harness) NewSystem() *powersys.System {
 // (the worst case: the V_safe value must ensure the task completes on stored
 // energy alone), force-enables delivery, and applies the profile.
 func (h *Harness) RunAt(vStart float64, p load.Profile, opt powersys.RunOptions) powersys.RunResult {
-	sys := h.NewSystem()
-	if err := sys.DischargeTo(vStart); err != nil {
-		panic(err)
-	}
-	sys.Monitor().Force(true)
 	opt.HarvestPower = 0
 	opt.Fast = opt.Fast || h.Fast
-	return sys.Run(p, opt)
-}
-
-// RunAtWithSystem behaves like RunAt but also returns the system so callers
-// can inspect post-run state.
-func (h *Harness) RunAtWithSystem(vStart float64, p load.Profile, opt powersys.RunOptions) (powersys.RunResult, *powersys.System) {
-	sys := h.NewSystem()
-	if err := sys.DischargeTo(vStart); err != nil {
-		panic(err)
-	}
-	sys.Monitor().Force(true)
-	opt.HarvestPower = 0
-	opt.Fast = opt.Fast || h.Fast
-	return sys.Run(p, opt), sys
+	return h.preparedAt(vStart).Run(p, opt)
 }
 
 // GroundTruth finds the profile's true V_safe by binary search: the lowest
@@ -129,12 +125,7 @@ func (h *Harness) GroundTruthCtx(ctx context.Context, p load.Profile, harvest fl
 	// aborts the trial, which must read as neither a verdict nor
 	// "infeasible", so the context is re-checked before the verdict counts.
 	probe := func(v float64) (safe bool, vmin float64, err error) {
-		sys := h.NewSystem()
-		if err := sys.DischargeTo(v); err != nil {
-			panic(err)
-		}
-		sys.Monitor().Force(true)
-		res := sys.Run(run, powersys.RunOptions{SkipRebound: true, HarvestPower: harvest, Fast: h.Fast, Ctx: ctx})
+		res := h.preparedAt(v).Run(run, powersys.RunOptions{SkipRebound: true, HarvestPower: harvest, Fast: h.Fast, Ctx: ctx})
 		if err := ctx.Err(); err != nil {
 			return false, 0, err
 		}

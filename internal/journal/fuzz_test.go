@@ -46,9 +46,9 @@ func FuzzJournalRecover(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid("one"))
 	f.Add(valid("one", "two", "three"))
-	f.Add(valid("one", "two")[:11])               // torn mid-frame
-	f.Add(append(valid("ok"), 0xff, 0x00, 0x13))  // garbage tail
-	f.Add(append(valid("ok"), valid("next")...))  // all good
+	f.Add(valid("one", "two")[:11])                            // torn mid-frame
+	f.Add(append(valid("ok"), 0xff, 0x00, 0x13))               // garbage tail
+	f.Add(append(valid("ok"), valid("next")...))               // all good
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3}) // absurd length
 	flip := valid("aaaa", "bbbb")
 	flip[frameHeader] ^= 0x01 // CRC mismatch in the first frame

@@ -332,3 +332,28 @@ func TestTraceWidestPulse(t *testing.T) {
 		t.Errorf("WidestPulse on a Trace: %v allocs, want at most the test's own slice", got)
 	}
 }
+
+func TestNamed(t *testing.T) {
+	for _, c := range []struct{ peripheral, shape, want string }{
+		{"gesture", "", "gesture"},
+		{"ble", "nope", "ble"}, // a peripheral wins over the shape
+		{"mnist", "", "mnist"},
+		{"lora", "", "lora"},
+		{"", "uniform", "uniform-25mA-10ms"},
+		{"", "pulse", NewPulse(25e-3, 10e-3).Name()},
+	} {
+		p, err := Named(c.peripheral, c.shape, 25e-3, 10e-3)
+		if err != nil || p.Name() != c.want {
+			t.Errorf("Named(%q, %q) = %v, %v; want %s", c.peripheral, c.shape, p, err, c.want)
+		}
+	}
+	for _, c := range []struct{ peripheral, shape, want string }{
+		{"toaster", "uniform", `load: unknown peripheral "toaster"`},
+		{"", "nope", `load: unknown shape "nope"`},
+		{"", "", `load: unknown shape ""`},
+	} {
+		if _, err := Named(c.peripheral, c.shape, 25e-3, 10e-3); err == nil || err.Error() != c.want {
+			t.Errorf("Named(%q, %q) error %v, want %q", c.peripheral, c.shape, err, c.want)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package load
 
+import "fmt"
+
 // Peripheral current signatures. Parameters come from Table III and the
 // application descriptions in Section VI-B. On the real Capybara these were
 // captured from the physical parts (APDS-9960, CC2650 BLE, Cortex-M4 running
@@ -49,6 +51,32 @@ func ComputeAccel() Profile {
 // 50 mA for 100 ms.
 func LoRa() Profile {
 	return Uniform{ID: "lora", ILoad: 50e-3, TPulse: 100e-3}
+}
+
+// Named resolves the loads the CLIs and culpeod accept by name: a
+// peripheral ("gesture", "ble", "mnist", "lora") when peripheral is set,
+// else a shape ("uniform", "pulse") drawing i amperes for t seconds.
+func Named(peripheral, shape string, i, t float64) (Profile, error) {
+	switch peripheral {
+	case "gesture":
+		return Gesture(), nil
+	case "ble":
+		return BLERadio(), nil
+	case "mnist":
+		return ComputeAccel(), nil
+	case "lora":
+		return LoRa(), nil
+	case "":
+	default:
+		return nil, fmt.Errorf("load: unknown peripheral %q", peripheral)
+	}
+	switch shape {
+	case "uniform":
+		return NewUniform(i, t), nil
+	case "pulse":
+		return NewPulse(i, t), nil
+	}
+	return nil, fmt.Errorf("load: unknown shape %q", shape)
 }
 
 // IMURead reads n samples from the inertial module. Each sample costs a

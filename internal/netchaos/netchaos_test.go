@@ -12,29 +12,34 @@ import (
 )
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"seed",                        // seed without value
-		"seed:x",                      // non-numeric seed
-		"seed:1.5",                    // fractional seed
-		"warp:d=1ms",                  // unknown kind
-		"latency:speed=1",             // unknown key
-		"latency",                     // latency without magnitude
-		"latency:d=1ms,d=2ms",         // duplicate key
-		"latency:d",                   // missing =
-		"latency:d=-1ms",              // negative duration
-		"latency:d=4000",              // > 3600 s
-		"reset:after=1.5",             // fractional count
-		"reset:after=-1",              // negative count
-		"h503:retryafter=5000",        // > 3600 s Retry-After
-		"down:every=5",                // every without count
-		"down:count=6,every=5",        // count exceeds every
-		"blackhole:from=2e12",         // count out of range
-		"latency:d=NaN",               // non-finite
-		"slow:chunk=0.5",              // fractional chunk
+	cases := []struct{ in, want string }{
+		{"seed", "netchaos: seed clause needs a value (seed:N)"},
+		{"seed:x", `netchaos: bad seed "x"`},
+		{"seed:1.5", `netchaos: bad seed "1.5"`},
+		{"warp:d=1ms", `netchaos: unknown fault kind "warp"`},
+		{"latency:speed=1", `netchaos: latency: unknown key "speed"`},
+		{"latency", "netchaos: latency needs d or jitter"},
+		{"latency:d=1ms,d=2ms", `netchaos: latency: duplicate key "d"`},
+		{"latency:d", `netchaos: latency: expected key=value, got "d"`},
+		{"latency:d=-1ms", "netchaos: latency: d must be in [0,3600] s, got -0.001"},
+		{"latency:d=4000", "netchaos: latency: d must be in [0,3600] s, got 4000"},
+		{"reset:after=1.5", "netchaos: reset: after must be an integer in [0,1e9], got 1.5"},
+		{"reset:after=-1", "netchaos: reset: after must be an integer in [0,1e9], got -1"},
+		{"h503:retryafter=5000", "netchaos: h503 retryafter must be <= 3600 s, got 5000"},
+		{"down:every=5", "netchaos: down: every needs count"},
+		{"down:count=6,every=5", "netchaos: down: count exceeds every"},
+		{"blackhole:from=2e12", "netchaos: blackhole: from must be an integer in [0,1e9], got 2e+12"},
+		{"latency:d=NaN", `netchaos: latency: bad value for d: units: bad number "NaN": strconv.ParseFloat: parsing "": invalid syntax`},
+		{"slow:chunk=0.5", "netchaos: slow: chunk must be an integer in [0,1e9], got 0.5"},
+		{"partition", "netchaos: partition needs plo in [1,65535], got 0"},
+		{"partition:plo=9000,phi=80", "netchaos: partition phi 80 outside [plo,65535]"},
 	}
 	for _, c := range cases {
-		if _, err := Parse(c); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", c)
+		_, err := Parse(c.in)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", c.in)
+		} else if err.Error() != c.want {
+			t.Errorf("Parse(%q) error\n got %q\nwant %q", c.in, err, c.want)
 		}
 	}
 }
@@ -54,6 +59,22 @@ func TestParseAndCanonicalForm(t *testing.T) {
 	again, err := Parse(spec.String())
 	if err != nil || again.String() != want {
 		t.Fatalf("round trip: %v, %q", err, again.String())
+	}
+	for in, canon := range map[string]string{
+		"slow":                            "slow:chunk=64,delay=0.001",
+		"latency:jitter=1ms,d=250ms":      "latency:d=0.25,jitter=0.001",
+		"reset:after=0;h503:retryafter=0": "reset;h503",
+		"partition:plo=8080,phi=8080":     "partition:plo=8080",
+		"seed:-3;partition:plo=9000,phi=9007,from=4,count=3,every=16": "seed:-3;partition:count=3,every=16,from=4,phi=9007,plo=9000",
+		"blackhole:from=0,count=0":                                    "blackhole",
+	} {
+		spec, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if got := spec.String(); got != canon {
+			t.Errorf("String(%q) = %q, want %q", in, got, canon)
+		}
 	}
 }
 

@@ -179,16 +179,13 @@ func cloneConfig(cfg Config) Config {
 	return out
 }
 
-// Reset re-arms every lane to its prepared starting state with the
-// harness sequence — ChargeTo(V_high), DischargeTo(V_start), Force(true) —
+// Reset re-arms every lane to its prepared starting state with PrepareAt
 // and rewinds its clock, without allocating.
 func (bs *BatchSystem) Reset() {
 	for l, s := range bs.sys {
-		// Neither call can fail: New accepted V_high > V_off > 0 and
-		// NewBatch accepted V_start > 0.
-		_ = s.ChargeTo(s.cfg.VHigh)
-		_ = s.DischargeTo(bs.scens[l].VStart)
-		s.monitor.Force(true)
+		// Cannot fail: New accepted V_high > V_off > 0 and NewBatch
+		// accepted V_start > 0.
+		_ = s.PrepareAt(bs.scens[l].VStart)
 		s.t = 0
 		s.failures = 0
 	}

@@ -152,14 +152,14 @@ func (s *System) On() bool { return s.monitor.On() }
 
 // StepInfo describes one integration step.
 type StepInfo struct {
-	T      float64 // time at the end of the step
-	VTerm  float64 // terminal node voltage during the step
-	VOC    float64 // main branch open-circuit voltage after the step
-	IIn    float64 // total current drawn from storage by the booster
-	ILoad  float64 // load current actually served (0 if power is off)
-	On       bool // monitor state after the step
-	Failed   bool // true when this step caused a power-off
-	Diverged bool // true when the nodal solution became non-finite
+	T        float64 // time at the end of the step
+	VTerm    float64 // terminal node voltage during the step
+	VOC      float64 // main branch open-circuit voltage after the step
+	IIn      float64 // total current drawn from storage by the booster
+	ILoad    float64 // load current actually served (0 if power is off)
+	On       bool    // monitor state after the step
+	Failed   bool    // true when this step caused a power-off
+	Diverged bool    // true when the nodal solution became non-finite
 }
 
 // Step advances the simulation by one DT with the given demanded load
@@ -560,6 +560,21 @@ func (s *System) Rebound(opt RunOptions) float64 {
 func (s *System) terminalAtRest() float64 {
 	vt, _, _ := solveNode(s.cfg.Storage.Branches, 0, s.scratch)
 	return vt
+}
+
+// PrepareAt readies the system for a launch at vStart with the test
+// harness's sequence (Section VI-A): charge to V_high, discharge to
+// vStart, then force the output booster on, so the run answers whether the
+// task completes from vStart whatever the monitor's hysteresis would say.
+func (s *System) PrepareAt(vStart float64) error {
+	if err := s.ChargeTo(s.cfg.VHigh); err != nil {
+		return err
+	}
+	if err := s.DischargeTo(vStart); err != nil {
+		return err
+	}
+	s.monitor.Force(true)
+	return nil
 }
 
 // ChargeTo recharges the buffer to the target voltage using direct charge

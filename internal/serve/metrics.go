@@ -61,26 +61,8 @@ func newMetrics(endpoints []string) *metrics {
 	return m
 }
 
-func (m *metrics) record(endpoint string, status int, d time.Duration) {
-	es, ok := m.endpoints[endpoint]
-	if !ok {
-		return
-	}
-	es.requests.Add(1)
-	switch {
-	case status >= 500:
-		es.serverErrors.Add(1)
-	case status >= 400:
-		es.clientErrors.Add(1)
-	}
-	m.latency.Observe(d)
-}
-
-// recordStatus counts an outcome without a latency observation — the
-// streaming endpoint's connections live for minutes, and folding their
-// lifetimes into the request-latency histogram would bury every real
-// request duration under connection durations.
-func (m *metrics) recordStatus(endpoint string, status int) {
+// record counts one request's outcome under its endpoint.
+func (m *metrics) record(endpoint string, status int) {
 	es, ok := m.endpoints[endpoint]
 	if !ok {
 		return

@@ -73,8 +73,6 @@ type Config struct {
 	// Workers bounds the sweep pool a batch request fans out over (<=0:
 	// GOMAXPROCS).
 	Workers int
-	// Catalog resolves PowerSpec.Part (nil: partsdb.DefaultIndex()).
-	Catalog *partsdb.Index
 	// ShardID names this node's slot in a sharded deployment ("" for a
 	// standalone daemon). It is advertised on /healthz and /metrics so
 	// routers (internal/shard) and operators can confirm which shard
@@ -216,14 +214,10 @@ func New(cfg Config) *Server {
 	if cache == nil {
 		cache = core.NewVSafeCache(cfg.CacheSize)
 	}
-	catalog := cfg.Catalog
-	if catalog == nil {
-		catalog = partsdb.DefaultIndex()
-	}
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
-		catalog: catalog,
+		catalog: partsdb.DefaultIndex(),
 		met:     newMetrics(endpointNames),
 		mux:     http.NewServeMux(),
 		slots:   make(chan struct{}, cfg.MaxInFlight),
@@ -245,10 +239,10 @@ func New(cfg Config) *Server {
 	s.mux.Handle("/v1/vsafe-r", s.api("vsafe-r", s.handleVSafeR))
 	s.mux.Handle("/v1/simulate", s.api("simulate", s.handleSimulate))
 	s.mux.Handle("/v1/batch", s.api("batch", s.handleBatch))
-	s.mux.Handle(api.PathStream, s.streaming("stream", s.handleStreamOpen))
+	s.mux.Handle(api.PathStream, s.observed("stream", false, s.handleStreamOpen))
 	s.mux.Handle(api.PathStreamObs, s.api("stream-obs", s.handleStreamObs))
-	s.mux.Handle("/healthz", s.observed("healthz", s.handleHealthz))
-	s.mux.Handle("/metrics", s.observed("metrics", s.handleMetrics))
+	s.mux.Handle("/healthz", s.observed("healthz", true, s.handleHealthz))
+	s.mux.Handle("/metrics", s.observed("metrics", true, s.handleMetrics))
 	if cfg.SessionSweep > 0 {
 		s.sweepStop = make(chan struct{})
 		s.sweepDone = make(chan struct{})
@@ -484,10 +478,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// observed wraps the cheap GET endpoints with panic isolation and metrics
-// but no admission control: health and metrics must answer while the work
+// observed is the prelude every endpoint runs in: a request ID echoed in
+// the response header, panic isolation (a 500 unless the handler already
+// wrote a status) and outcome metrics under name. With timed set the
+// request's duration also goes into the latency histogram; the stream
+// endpoint leaves it unset, because its connections live for minutes and
+// their lifetimes would bury every real request duration. The prelude has
+// no admission control: health and metrics must answer while the work
 // endpoints are saturated — that is when they matter most.
-func (s *Server) observed(name string, fn http.HandlerFunc) http.Handler {
+func (s *Server) observed(name string, timed bool, fn http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		reqID := s.requestID(r)
@@ -500,42 +499,40 @@ func (s *Server) observed(name string, fn http.HandlerFunc) http.Handler {
 					writeError(sw, http.StatusInternalServerError, fmt.Errorf("panic (request %s): %v", reqID, rec))
 				}
 			}
-			s.met.record(name, sw.status, time.Since(start))
+			s.met.record(name, sw.status)
+			if timed {
+				s.met.latency.Observe(time.Since(start))
+			}
 		}()
 		fn(sw, r)
 	})
 }
 
-// api wraps a work endpoint with the full middleware stack: method check,
-// panic isolation, admission control with backpressure, the per-request
-// deadline, and outcome classification into HTTP statuses.
+// accepts lets a request into a POST endpoint, or answers it: 405 for any
+// other method, 503 while boot-time journal replay runs (the session
+// table is half-rebuilt and must not be read or written around the
+// replay).
+func (s *Server) accepts(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		return false
+	}
+	if !s.Ready() {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server %s", s.phaseString()))
+		return false
+	}
+	return true
+}
+
+// api wraps a work endpoint with the full middleware stack: the observed
+// prelude, the POST and readiness gate, admission control with
+// backpressure, the per-request deadline, and outcome classification into
+// HTTP statuses.
 func (s *Server) api(name string, fn func(ctx context.Context, r *http.Request) (any, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		reqID := s.requestID(r)
-		sw.Header().Set(RequestIDHeader, reqID)
-		start := time.Now()
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.met.recordPanic(reqID)
-				if sw.status == 0 {
-					writeError(sw, http.StatusInternalServerError, fmt.Errorf("panic (request %s): %v", reqID, rec))
-				}
-			}
-			s.met.record(name, sw.status, time.Since(start))
-		}()
-
-		if r.Method != http.MethodPost {
-			sw.Header().Set("Allow", http.MethodPost)
-			writeError(sw, http.StatusMethodNotAllowed, errors.New("POST only"))
-			return
-		}
-
-		if !s.Ready() {
-			// Boot-time journal replay in progress: the session table is
-			// half-rebuilt and must not be read or written around the replay.
-			sw.Header().Set("Retry-After", "1")
-			writeError(sw, http.StatusServiceUnavailable, fmt.Errorf("server %s", s.phaseString()))
+	return s.observed(name, true, func(sw http.ResponseWriter, r *http.Request) {
+		if !s.accepts(sw, r) {
 			return
 		}
 

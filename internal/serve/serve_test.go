@@ -457,6 +457,25 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestLoadErrorTexts pins the exact 400 texts of the named-load lookup,
+// which the soak goldens also carry.
+func TestLoadErrorTexts(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for body, want := range map[string]string{
+		`{"load":{"peripheral":"toaster"}}`:            `bad request: load: unknown peripheral "toaster"`,
+		`{"load":{"shape":"nope","i":0.025,"t":0.01}}`: `bad request: load: unknown shape "nope"`,
+		`{"load":{"shape":"nope"}}`:                    `bad request: load: shape needs positive i and t, got i=0 t=0`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/vsafe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		if e := decodeResp[ErrorResponse](t, resp, http.StatusBadRequest); e.Error != want {
+			t.Errorf("%s: error %q, want %q", body, e.Error, want)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/vsafe")

@@ -164,20 +164,7 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 	if forms != 1 {
 		return resolvedLoad{}, specErrorf("load: give exactly one of shape, peripheral or samples")
 	}
-	switch {
-	case l.Peripheral != "":
-		switch l.Peripheral {
-		case "gesture":
-			return resolvedLoad{profile: load.Gesture()}, nil
-		case "ble":
-			return resolvedLoad{profile: load.BLERadio()}, nil
-		case "mnist":
-			return resolvedLoad{profile: load.ComputeAccel()}, nil
-		case "lora":
-			return resolvedLoad{profile: load.LoRa()}, nil
-		}
-		return resolvedLoad{}, specErrorf("load: unknown peripheral %q", l.Peripheral)
-	case len(l.Samples) > 0:
+	if len(l.Samples) > 0 {
 		rate := l.Rate
 		if rate == 0 {
 			rate = load.SampleRateDefault
@@ -192,21 +179,20 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 		}
 		tr := load.Trace{ID: "uploaded", Rate: rate, Samples: l.Samples}
 		return resolvedLoad{trace: tr, isTrace: true}, nil
-	default:
+	}
+	if l.Shape != "" {
 		if !isFinite(l.I) || l.I <= 0 || !isFinite(l.T) || l.T <= 0 {
 			return resolvedLoad{}, specErrorf("load: shape needs positive i and t, got i=%g t=%g", l.I, l.T)
 		}
 		if l.T > 60 {
 			return resolvedLoad{}, specErrorf("load: duration %g s beyond the 60 s serving cap", l.T)
 		}
-		switch l.Shape {
-		case "uniform":
-			return resolvedLoad{profile: load.NewUniform(l.I, l.T)}, nil
-		case "pulse":
-			return resolvedLoad{profile: load.NewPulse(l.I, l.T)}, nil
-		}
-		return resolvedLoad{}, specErrorf("load: unknown shape %q", l.Shape)
 	}
+	p, err := load.Named(l.Peripheral, l.Shape, l.I, l.T)
+	if err != nil {
+		return resolvedLoad{}, specErrorf("%v", err)
+	}
+	return resolvedLoad{profile: p}, nil
 }
 
 // asProfile returns the load as a Profile for simulation (a raw trace is

@@ -61,9 +61,6 @@ type Config struct {
 	// TombstoneEpochs keeps a closed session's terminal replayable for
 	// this many sweeps (<=0: DefaultTombstoneEpochs).
 	TombstoneEpochs int
-	// Margin is the template AdaptiveMargin each new session copies; the
-	// zero value selects core.DefaultAdaptiveMargin.
-	Margin *core.AdaptiveMargin
 	// Journal, when non-nil, makes the table crash-durable: opens, resumes,
 	// acknowledged folds, closes and sweep evictions are appended as
 	// write-ahead records, and each mutating operation returns only after
@@ -93,9 +90,6 @@ func (c *Config) defaults() {
 	}
 	if c.TombstoneEpochs <= 0 {
 		c.TombstoneEpochs = DefaultTombstoneEpochs
-	}
-	if c.Margin == nil {
-		c.Margin = core.DefaultAdaptiveMargin()
 	}
 }
 
@@ -350,7 +344,7 @@ func (t *Table) attachLocked(sh *shard, device string, model core.PowerModel, sp
 		model:   model,
 		spec:    spec,
 		ring:    make([]entry, ring),
-		margin:  *t.cfg.Margin,
+		margin:  *core.DefaultAdaptiveMargin(),
 		touched: t.epoch.Load(),
 	}
 	if _, err := t.foldLocked(s, replay, true); err != nil {

@@ -357,7 +357,7 @@ func (t *Table) applyRecord(r walRecord, resolve func([]byte) (core.PowerModel, 
 			model:   model,
 			spec:    r.Spec,
 			ring:    make([]entry, r.Ring),
-			margin:  *t.cfg.Margin,
+			margin:  *core.DefaultAdaptiveMargin(),
 			touched: t.epoch.Load(),
 		}
 		if _, err := t.foldLocked(s, r.Obs, true); err != nil {
