@@ -245,17 +245,7 @@ func vsafe(ctx context.Context, stdout io.Writer, p params) error {
 }
 
 func pickLoad(peripheral, iStr, tStr, shape string) (load.Profile, error) {
-	var i, t float64
-	if peripheral == "" {
-		var err error
-		if i, err = units.Parse(iStr); err != nil {
-			return nil, fmt.Errorf("bad -i: %w", err)
-		}
-		if t, err = units.Parse(tStr); err != nil {
-			return nil, fmt.Errorf("bad -t: %w", err)
-		}
-	}
-	return load.Named(peripheral, shape, i, t)
+	return load.ParseNamed(peripheral, shape, iStr, tStr)
 }
 
 func clamp(v, lo, hi float64) float64 {

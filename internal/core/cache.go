@@ -87,16 +87,19 @@ func (m PowerModel) Fingerprint() uint64 {
 	return h
 }
 
-// The trace hash works on whole 64-bit words: the samples' IEEE-754 bit
-// patterns, absorbed in stripes of four by independent multiply-rotate
-// lanes (xxHash64's round, merge and avalanche, applied to words rather
-// than bytes). The lanes have no data dependency on each other, so the
-// multiplies overlap and a sample costs about half a nanosecond, where a
-// byte-wise hash pays eight dependent multiplies per sample. The hash is
-// unseeded arithmetic on math.Float64bits, so every process of a fleet
-// computes the same value for the same trace — the shard router and each
-// shard's cache must agree on the key, which a per-process seed (as in
-// hash/maphash) would break.
+// The trace hash works on a trace's maximal runs of bit-identical samples.
+// Each run is two 64-bit words — the IEEE-754 bit pattern of its value and
+// its length — and the words are absorbed in stripes of four (two runs) by
+// independent multiply-rotate lanes (xxHash64's round, merge and
+// avalanche, applied to words rather than bytes). A piecewise-constant load
+// such as Table III's uniform and pulse shapes is two or three runs however
+// long it lasts, so ProfileFingerprint keys it without visiting its
+// samples. A noisy trace is one run per sample and costs two rounds a
+// sample; the lanes carry no dependency on each other, so those multiplies
+// overlap. The hash is unseeded arithmetic on math.Float64bits, so every
+// process of a fleet computes the same value for the same trace — the
+// shard router and each shard's cache must agree on the key, which a
+// per-process seed (as in hash/maphash) would break.
 const (
 	prime1 uint64 = 0x9E3779B185EBCA87
 	prime2 uint64 = 0xC2B2AE3D27D4EB4F
@@ -113,7 +116,7 @@ func fold(h, w uint64) uint64 {
 	return bits.RotateLeft64(h^round(0, w), 27)*prime1 + prime4
 }
 
-// traceLanes is the hash state over the samples absorbed so far.
+// traceLanes is the hash state over the stripes absorbed so far.
 type traceLanes [4]uint64
 
 // newTraceLanes starts the lanes at xxHash64's seed-0 values: prime1+prime2,
@@ -122,30 +125,18 @@ func newTraceLanes() traceLanes {
 	return traceLanes{0x60EA27EEADC0B5D6, prime2, 0, 0x61C8864E7A143579}
 }
 
-// absorb folds s into the lanes, one stripe of four samples at a time; a
-// trailing partial stripe is left for sum.
-func (v *traceLanes) absorb(s []float64) {
-	v1, v2, v3, v4 := v[0], v[1], v[2], v[3]
-	for ; len(s) >= 4; s = s[4:] {
-		v1 = round(v1, math.Float64bits(s[0]))
-		v2 = round(v2, math.Float64bits(s[1]))
-		v3 = round(v3, math.Float64bits(s[2]))
-		v4 = round(v4, math.Float64bits(s[3]))
-	}
-	v[0], v[1], v[2], v[3] = v1, v2, v3, v4
-}
-
-// sum merges the lanes, then folds in the partial stripe tail (fewer than
-// four samples), the sample rate and the sample count n, and avalanches.
-func (v *traceLanes) sum(tail []float64, rate float64, n int) uint64 {
+// sum merges the lanes, then folds in the partial stripe tail (one run's
+// two words, or none), the sample rate and the sample count n, and
+// avalanches.
+func (v *traceLanes) sum(tail []uint64, rate float64, n int) uint64 {
 	v1, v2, v3, v4 := v[0], v[1], v[2], v[3]
 	h := bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
 		bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
 	for _, x := range [4]uint64{v1, v2, v3, v4} {
 		h = (h^round(0, x))*prime1 + prime4
 	}
-	for _, s := range tail {
-		h = fold(h, math.Float64bits(s))
+	for _, w := range tail {
+		h = fold(h, w)
 	}
 	h = fold(h, math.Float64bits(rate))
 	h = fold(h, uint64(n))
@@ -157,37 +148,84 @@ func (v *traceLanes) sum(tail []float64, rate float64, n int) uint64 {
 	return h
 }
 
+// nextRun returns the bit pattern of s[i] and the end of the maximal run of
+// samples bit-identical to it that starts at i.
+func nextRun(s []float64, i int) (w uint64, end int) {
+	w = math.Float64bits(s[i])
+	end = i + 1
+	for end < len(s) && math.Float64bits(s[end]) == w {
+		end++
+	}
+	return w, end
+}
+
 // TraceFingerprint hashes a current trace by value: sample rate, length and
-// every sample. The trace ID is deliberately excluded — V_safe depends on
-// the waveform, not its name, so renamed copies of one profile share a
-// cache line.
+// every sample, as its maximal runs. The trace ID is deliberately excluded
+// — V_safe depends on the waveform, not its name, so renamed copies of one
+// profile share a cache line.
 func TraceFingerprint(tr load.Trace) uint64 {
-	full := len(tr.Samples) &^ 3
 	v := newTraceLanes()
-	v.absorb(tr.Samples[:full])
-	return v.sum(tr.Samples[full:], tr.Rate, len(tr.Samples))
+	v1, v2, v3, v4 := v[0], v[1], v[2], v[3]
+	var tail [2]uint64
+	odd := false
+	for s := tr.Samples; len(s) > 0; {
+		// Noise: the next two samples are one-sample runs.
+		if len(s) > 2 {
+			a, b := math.Float64bits(s[0]), math.Float64bits(s[1])
+			if a != b && b != math.Float64bits(s[2]) {
+				v1 = round(v1, a)
+				v2 = round(v2, 1)
+				v3 = round(v3, b)
+				v4 = round(v4, 1)
+				s = s[2:]
+				continue
+			}
+		}
+		w1, j := nextRun(s, 0)
+		if j == len(s) {
+			tail, odd = [2]uint64{w1, uint64(j)}, true
+			break
+		}
+		w2, k := nextRun(s, j)
+		v1 = round(v1, w1)
+		v2 = round(v2, uint64(j))
+		v3 = round(v3, w2)
+		v4 = round(v4, uint64(k-j))
+		s = s[k:]
+	}
+	v = traceLanes{v1, v2, v3, v4}
+	if odd {
+		return v.sum(tail[:], tr.Rate, len(tr.Samples))
+	}
+	return v.sum(nil, tr.Rate, len(tr.Samples))
 }
 
 // ProfileFingerprint returns exactly TraceFingerprint(load.Sample(p, rate))
-// without building the trace: it samples p through load.SampleGrid and
-// load.SampleSpan a fixed-size chunk at a time and hashes each chunk as it
-// goes. A profile-backed request can thus find its cached estimate without
-// paying for the sample slice; only a miss samples for Algorithm 1.
+// without building the trace: it hashes the runs load.Runs yields, the same
+// runs load.Sample fills the trace from. A uniform or pulse shape is keyed
+// in O(edges·log n); a profile-backed request finds its cached estimate
+// without paying for the sample slice, and only a miss samples for
+// Algorithm 1.
 func ProfileFingerprint(p load.Profile, rate float64) uint64 {
 	n, rate := load.SampleGrid(p, rate)
-	var buf [512]float64 // a multiple of 4, so chunks keep stripe alignment
 	v := newTraceLanes()
-	for first := 0; ; first += len(buf) {
-		chunk := buf[:min(len(buf), n-first)]
-		load.SampleSpan(p, rate, first, chunk)
-		if first+len(chunk) < n {
-			v.absorb(chunk)
-			continue
+	var pend [2]uint64
+	odd := false
+	load.Runs(p, rate, func(x float64, count int) {
+		if !odd {
+			pend, odd = [2]uint64{math.Float64bits(x), uint64(count)}, true
+			return
 		}
-		full := len(chunk) &^ 3
-		v.absorb(chunk[:full])
-		return v.sum(chunk[full:], rate, n)
+		v[0] = round(v[0], pend[0])
+		v[1] = round(v[1], pend[1])
+		v[2] = round(v[2], math.Float64bits(x))
+		v[3] = round(v[3], uint64(count))
+		odd = false
+	})
+	if odd {
+		return v.sum(pend[:], rate, n)
 	}
+	return v.sum(nil, rate, n)
 }
 
 // DefaultVSafeCacheSize bounds the shared cache. An entry is ~64 bytes;

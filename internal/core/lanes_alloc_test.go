@@ -51,3 +51,13 @@ func TestVSafeCacheHitAllocFree(t *testing.T) {
 		t.Fatalf("cache hit: %v allocations, want the model hash's %v", hit, hash)
 	}
 }
+
+// TestProfileFingerprintAllocFree: keying a uniform or a pulse shape walks
+// its runs on the stack — the run callback must not escape to the heap.
+func TestProfileFingerprintAllocFree(t *testing.T) {
+	for _, p := range []load.Profile{load.NewUniform(25e-3, 130e-3), load.NewPulse(50e-3, 30e-3)} {
+		if n := testing.AllocsPerRun(100, func() { sinkFP = ProfileFingerprint(p, load.SampleRateDefault) }); n != 0 {
+			t.Errorf("%s: %v allocations per key, want 0", p.Name(), n)
+		}
+	}
+}

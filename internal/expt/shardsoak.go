@@ -199,8 +199,11 @@ func (r *ShardSoakReport) Render(w io.Writer) error {
 }
 
 // shardMix is the shard soak's mixed-workload shape: its batches also
-// carry one exact simulation (the batch simulation lane).
-var shardMix = mixedWorkload{uniform: 0.006, pulse: 0.0025, sim: 0.011, batch: 0.009, batchPulse: 0.0035, batchSim: true}
+// carry one exact simulation (the batch simulation lane). Where its keys
+// land decides whether s1 sees two attempts inside the partition window
+// before the call-10 probe ejects it, which the "s1 breaker opened"
+// milestone needs, so a change to the route key can call for new bases.
+var shardMix = mixedWorkload{uniform: 0.007, pulse: 0.0025, sim: 0.011, batch: 0.009, batchPulse: 0.0035, batchSim: true}
 
 // ShardSoak runs the sharded-tier lifecycle soak. The error return covers
 // setup problems only; workload failures are reported via Gate so a test
