@@ -109,14 +109,15 @@ serve-smoke:
 e2ebench:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./... -count=1
 
-# Differential fuzzing of the request decoder against encoding/json: each
-# target (one per decoded schema) runs for FUZZTIME and fails on the first
+# Differential fuzzing of the request decoder against encoding/json (one
+# target per decoded schema) and of its float scanner against
+# strconv.ParseFloat: each target runs for FUZZTIME and fails on the first
 # input where the two disagree. Not part of `check`: the seed corpora
 # already run under `go test ./...`.
 FUZZTIME ?= 30s
 DECODE_FUZZ = FuzzDecodeDiffVSafe FuzzDecodeDiffBatch FuzzDecodeDiffSimulate \
 	FuzzDecodeDiffVSafeR FuzzDecodeDiffStreamOpen FuzzDecodeDiffStreamObs \
-	FuzzDecodeDiffPowerSpec
+	FuzzDecodeDiffPowerSpec FuzzParseFloat
 fuzz-decode:
 	for f in $(DECODE_FUZZ); do \
 		$(GO) test ./internal/serve -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \

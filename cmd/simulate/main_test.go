@@ -75,6 +75,9 @@ func TestRealMainErrors(t *testing.T) {
 		{"bad decoupling", []string{"-dec", "junk"}, 1, "bad -dec"},
 		{"bad vsweep entry", []string{"-vsweep", "1.8,abc"}, 1, "bad -vsweep entry"},
 		{"empty vsweep", []string{"-vsweep", ",,"}, 1, "-vsweep lists no voltages"},
+		{"negative duration", []string{"-i", "10mA", "-t", "-5ms", "-shape", "uniform"}, 1, "shape needs positive i and t"},
+		{"zero current", []string{"-i", "0", "-t", "10ms", "-shape", "pulse"}, 1, "shape needs positive i and t"},
+		{"negative duration in sweep", []string{"-t", "-5ms", "-vsweep", "1.8,2.4"}, 1, "shape needs positive i and t"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -77,6 +77,8 @@ func TestRealMainErrors(t *testing.T) {
 		{"inverted voltage window", []string{"-voff", "2.5", "-vhigh", "1.8"}, 1, "invalid voltage window"},
 		{"degenerate voltage window", []string{"-voff", "2.0", "-vhigh", "2.0"}, 1, "invalid voltage window"},
 		{"bad age", []string{"-age", "1.5"}, 1, "bad -age"},
+		{"negative duration", []string{"-i", "10mA", "-t", "-5ms", "-shape", "uniform"}, 1, "shape needs positive i and t"},
+		{"zero current", []string{"-i", "0", "-t", "10ms", "-shape", "pulse"}, 1, "shape needs positive i and t"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

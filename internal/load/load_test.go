@@ -3,6 +3,7 @@ package load
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -330,6 +331,25 @@ func TestTraceWidestPulse(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(10, func() { WidestPulse(Trace{Rate: 125e3, Samples: make([]float64, 64)}, 125e3) }); got > 1 {
 		t.Errorf("WidestPulse on a Trace: %v allocs, want at most the test's own slice", got)
+	}
+}
+
+// TestParseNamedRejectsBadShape: a shape's -i and -t must be finite and
+// positive; a peripheral ignores them.
+func TestParseNamedRejectsBadShape(t *testing.T) {
+	for _, c := range []struct{ i, t string }{
+		{"10mA", "-5ms"}, {"10mA", "0"}, {"0", "10ms"}, {"-1mA", "10ms"}, {"1e308MA", "10ms"}, {"10mA", "1e308Ms"},
+	} {
+		_, err := ParseNamed("", "uniform", c.i, c.t)
+		if err == nil || !strings.Contains(err.Error(), "shape needs positive i and t") {
+			t.Errorf("ParseNamed(-i %s -t %s) error %v, want a positive-i-and-t rejection", c.i, c.t, err)
+		}
+	}
+	if _, err := ParseNamed("ble", "uniform", "", ""); err != nil {
+		t.Errorf("a peripheral with no -i/-t: %v", err)
+	}
+	if _, err := ParseNamed("", "nope", "10mA", "10ms"); err == nil || err.Error() != `load: unknown shape "nope"` {
+		t.Errorf("unknown shape error %v", err)
 	}
 }
 

@@ -84,6 +84,13 @@ func decodeRequest(r *http.Request, limit int64, dst any) error {
 	return nil
 }
 
+// DecodeRequest decodes r's body into dst, one of the internal/api request
+// types, as culpeod's /v1/vsafe handler does: one read into a pooled
+// buffer under the request body cap, then the single-pass decode.
+func DecodeRequest(r *http.Request, dst any) error {
+	return decodeRequest(r, maxBodyBytes, dst)
+}
+
 // unmarshal decodes data into dst with json.Unmarshal's semantics.
 func unmarshal(data []byte, dst any) error {
 	d := getDecoder()
@@ -593,7 +600,15 @@ func (d *decoder) numberText(want string) ([]byte, bool) {
 	return nil, false
 }
 
+// float decodes a float64 field. A number converts in atof's one scan;
+// anything else, and any number atof rejects, takes the strconv path,
+// which reports the error.
 func (d *decoder) float(p *float64) {
+	if f, n, ok := atof(d.data[d.pos:]); ok {
+		*p = f
+		d.pos += n
+		return
+	}
 	if b, ok := d.numberText("float64"); ok {
 		f, err := strconv.ParseFloat(string(b), 64)
 		if err != nil {

@@ -392,6 +392,8 @@ func TestStreamOpenOverCap(t *testing.T) {
 
 // hotTrace draws n samples shaped like vsafe-hot's raw-trace keys: a sleep
 // floor with a few bursts and ±5% noise, at full float64 precision.
+// internal/benchrun's noisyTrace draws the same trace for the artifact's
+// decode/vsafe-trace-2500 row.
 func hotTrace(n int) []float64 {
 	r := rand.New(rand.NewPCG(1, uint64(n)))
 	s := make([]float64, n)

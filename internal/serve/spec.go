@@ -181,8 +181,8 @@ func resolveLoad(l LoadSpec) (resolvedLoad, error) {
 		return resolvedLoad{trace: tr, isTrace: true}, nil
 	}
 	if l.Shape != "" {
-		if !isFinite(l.I) || l.I <= 0 || !isFinite(l.T) || l.T <= 0 {
-			return resolvedLoad{}, specErrorf("load: shape needs positive i and t, got i=%g t=%g", l.I, l.T)
+		if err := load.CheckShape(l.I, l.T); err != nil {
+			return resolvedLoad{}, specErrorf("%v", err)
 		}
 		if l.T > 60 {
 			return resolvedLoad{}, specErrorf("load: duration %g s beyond the 60 s serving cap", l.T)
