@@ -47,13 +47,14 @@ soak:
 
 # Zero-alloc guards for the simulator hot loop, the Algorithm 1 lane
 # kernel, the V_safe cache hit and a shape's trace key, and the allocation
-# bounds on load.Sample and the request decoder (testing.AllocsPerRun needs
-# a non-race build, so this runs alongside `race` rather than inside it).
+# bounds on load.Sample, the request decoder and a /v1/vsafe body-memo hit
+# (testing.AllocsPerRun needs a non-race build, so this runs alongside
+# `race` rather than inside it).
 alloc:
 	$(GO) test ./internal/powersys -run 'AllocFree' -count=1
 	$(GO) test ./internal/core -run 'AllocFree' -count=1
 	$(GO) test ./internal/load -run 'TestSampleAllocs' -count=1
-	$(GO) test ./internal/serve -run 'TestDecodeVSafeTraceAllocs' -count=1
+	$(GO) test ./internal/serve -run 'TestDecodeVSafeTraceAllocs|TestBodyMemoHitAllocs' -count=1
 
 # The Algorithm 1 parity tests (lane kernel vs VSafePG by Float64bits, the
 # batch cache path, the copy-free widest pulse) once more on GOAMD64=v3.

@@ -73,6 +73,8 @@ func TestRealMainErrors(t *testing.T) {
 		{"unknown shape in sweep", []string{"-shape", "nope", "-vsweep", "1.8,2.4"}, 1, `unknown shape "nope"`},
 		{"bad capacitance", []string{"-c", "xyz"}, 1, "bad -c"},
 		{"bad decoupling", []string{"-dec", "junk"}, 1, "bad -dec"},
+		{"overflowing capacitance", []string{"-c", "1e308M", "-i", "10mA", "-t", "10ms"}, 1, `bad -c: units: "1e308M" overflows float64`},
+		{"overflowing decoupling", []string{"-dec", "1e308M", "-i", "10mA", "-t", "10ms"}, 1, `bad -dec: units: "1e308M" overflows float64`},
 		{"bad vsweep entry", []string{"-vsweep", "1.8,abc"}, 1, "bad -vsweep entry"},
 		{"empty vsweep", []string{"-vsweep", ",,"}, 1, "-vsweep lists no voltages"},
 		{"negative duration", []string{"-i", "10mA", "-t", "-5ms", "-shape", "uniform"}, 1, "shape needs positive i and t"},

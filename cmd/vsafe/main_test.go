@@ -73,6 +73,7 @@ func TestRealMainErrors(t *testing.T) {
 		{"unknown peripheral", []string{"-peripheral", "warpdrive"}, 1, `unknown peripheral "warpdrive"`},
 		{"bad current", []string{"-i", "notanumber"}, 1, "bad -i"},
 		{"bad capacitance", []string{"-c", "xyz"}, 1, "bad -c"},
+		{"overflowing capacitance", []string{"-c", "1e308M"}, 1, `bad -c: units: "1e308M" overflows float64`},
 		{"missing trace file", []string{"-trace", "/nonexistent/trace.csv"}, 1, "cannot read -trace"},
 		{"inverted voltage window", []string{"-voff", "2.5", "-vhigh", "1.8"}, 1, "invalid voltage window"},
 		{"degenerate voltage window", []string{"-voff", "2.0", "-vhigh", "2.0"}, 1, "invalid voltage window"},

@@ -287,6 +287,24 @@ func pgJobs24(m core.PowerModel) []core.PGJob {
 	return jobs
 }
 
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status, so a handler benchmark times the handler and not a recorder.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// rewindBody is a request body over a reader the benchmark rewinds.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
 // noisyTrace draws n samples shaped like vsafe-hot's raw-trace uploads: a
 // sleep floor with a few bursts and ±5% noise, at full float64 precision.
 // It draws the same trace as internal/serve's BenchmarkDecodeVSafeTrace.
@@ -525,6 +543,38 @@ func Collect() (*Report, error) {
 		})))
 	if decodeErr != nil {
 		return nil, decodeErr
+	}
+	// --- micro: that body posted to /v1/vsafe over and over through
+	// culpeod's in-process handler. Every post after the first is a
+	// body-memo hit and a cache hit: no decode, no trace key.
+	srv := serve.New(serve.Config{})
+	h := srv.Handler()
+	w := &discardWriter{header: http.Header{}}
+	post := func() error {
+		rd.Reset(body)
+		req.Body, w.code = rewindBody{rd}, 0
+		if h.ServeHTTP(w, req); w.code != http.StatusOK {
+			return fmt.Errorf("benchrun: trace upload answered %d", w.code)
+		}
+		return nil
+	}
+	if err := post(); err != nil {
+		return nil, err
+	}
+	var hitErr error
+	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/trace-hit-2500",
+		bestOf(benchReps, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if hitErr = post(); hitErr != nil {
+					b.Fatal(hitErr)
+				}
+			}
+		})))
+	if hitErr != nil {
+		return nil, hitErr
+	}
+	if m := srv.Metrics().VSafeBodyMemo; m.Misses != 1 {
+		return nil, fmt.Errorf("benchrun: repeated trace upload missed the body memo: %+v", m)
 	}
 
 	// --- macro: the end-to-end sweep, exact-uncached vs fast + warm cache.

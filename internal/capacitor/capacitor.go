@@ -213,6 +213,15 @@ func (c *ESRCurve) ForPulseWidth(w float64) float64 {
 	return c.At(1 / (2 * w))
 }
 
+// Constant reports whether the curve has one point, and so gives that
+// point's ohms at every frequency and every pulse width.
+func (c *ESRCurve) Constant() (ohm float64, ok bool) {
+	if len(c.points) == 1 {
+		return c.points[0].Ohm, true
+	}
+	return 0, false
+}
+
 // Flat returns a frequency-independent curve, handy for ideal components in
 // tests.
 func Flat(ohm float64) *ESRCurve {

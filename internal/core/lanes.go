@@ -80,7 +80,7 @@ func VSafePGLanes(n int, job func(j int) PGJob, done func(j int, est Estimate, e
 			lanes[live] = pgLane{
 				job: j, samples: tr.Samples, i: len(tr.Samples) - 1,
 				vOff: m.VOff, vOut: m.VOut, c: m.EffectiveC(),
-				r:  m.EffectiveESR(load.WidestPulse(tr, tr.Rate)),
+				r:  m.traceESR(tr),
 				dt: tr.Dt(), eff: m.Eff, omitESRLoss: m.OmitESRLoss,
 				v: m.VOff,
 			}

@@ -78,6 +78,17 @@ func (m PowerModel) EffectiveESR(w float64) float64 {
 	return m.ESR.ForPulseWidth(w) * m.Aging.ESRFactor()
 }
 
+// traceESR is the aged ESR Algorithm 1 charges tr's current through:
+// EffectiveESR at tr's widest pulse. A one-point curve has the same ohms
+// at every width, so for it the widest-pulse walk (two passes over the
+// resampled grid) is skipped; the product is the same float64.
+func (m PowerModel) traceESR(tr load.Trace) float64 {
+	if ohm, ok := m.ESR.Constant(); ok {
+		return ohm * m.Aging.ESRFactor()
+	}
+	return m.EffectiveESR(load.WidestPulse(tr, tr.Rate))
+}
+
 // OperatingRange returns VHigh − VOff.
 func (m PowerModel) OperatingRange() float64 { return m.VHigh - m.VOff }
 
@@ -116,7 +127,7 @@ func VSafePG(m PowerModel, tr load.Trace) (Estimate, error) {
 	}
 	dt := tr.Dt()
 	c := m.EffectiveC()
-	r := m.EffectiveESR(load.WidestPulse(tr, tr.Rate))
+	r := m.traceESR(tr)
 
 	// v is V[i+1] during the reverse walk; the base case is V_off: after the
 	// final step the voltage must still be at the operating threshold.

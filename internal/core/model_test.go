@@ -324,3 +324,46 @@ func TestEtaVIntegral(t *testing.T) {
 }
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// TestTraceESRMatchesWidestPulse: the ESR Algorithm 1 uses equals
+// EffectiveESR at the trace's widest pulse by Float64bits, for one-point
+// curves (where the width walk is skipped) and curves with several points,
+// fresh and aged, on flat, bursty, silent and empty traces at several rates.
+func TestTraceESRMatchesWidestPulse(t *testing.T) {
+	curve, err := capacitor.NewESRCurve(
+		capacitor.ESRPoint{Hz: 1, Ohm: 5},
+		capacitor.ESRPoint{Hz: 100, Ohm: 2},
+		capacitor.ESRPoint{Hz: 10000, Ohm: 0.5},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	noisy := make([]float64, 3000)
+	for i := range noisy {
+		noisy[i] = 1e-3 * (1 + r.Float64())
+		if i > 1000 && i < 1400 {
+			noisy[i] += 20e-3
+		}
+	}
+	traces := []load.Trace{
+		{Rate: 125e3, Samples: noisy},
+		{Rate: 44.1e3, Samples: noisy},
+		{Rate: 1e3, Samples: noisy[:40]},
+		{Rate: 125e3, Samples: make([]float64, 500)},
+		{Rate: 125e3},
+		load.Sample(load.NewPulse(30e-3, 5e-3), 125e3),
+	}
+	for _, esr := range []*capacitor.ESRCurve{capacitor.Flat(1.5), capacitor.Flat(0), capacitor.Flat(3.25), curve} {
+		for _, age := range []float64{0, 0.37, 1} {
+			m := testModel()
+			m.ESR, m.Aging = esr, capacitor.Aging{LifeFraction: age}
+			for k, tr := range traces {
+				want := m.EffectiveESR(load.WidestPulse(tr, tr.Rate))
+				if got := m.traceESR(tr); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("curve %v age %g trace %d: traceESR %v, EffectiveESR(widest pulse) %v", esr.Points(), age, k, got, want)
+				}
+			}
+		}
+	}
+}

@@ -335,14 +335,20 @@ func TestTraceWidestPulse(t *testing.T) {
 }
 
 // TestParseNamedRejectsBadShape: a shape's -i and -t must be finite and
-// positive; a peripheral ignores them.
+// positive; a peripheral ignores them. A value whose unit prefix overflows
+// is refused by units.Parse, before the shape check.
 func TestParseNamedRejectsBadShape(t *testing.T) {
-	for _, c := range []struct{ i, t string }{
-		{"10mA", "-5ms"}, {"10mA", "0"}, {"0", "10ms"}, {"-1mA", "10ms"}, {"1e308MA", "10ms"}, {"10mA", "1e308Ms"},
+	for _, c := range []struct{ i, t, want string }{
+		{"10mA", "-5ms", "shape needs positive i and t"},
+		{"10mA", "0", "shape needs positive i and t"},
+		{"0", "10ms", "shape needs positive i and t"},
+		{"-1mA", "10ms", "shape needs positive i and t"},
+		{"1e308MA", "10ms", `bad -i: units: "1e308MA" overflows float64`},
+		{"10mA", "1e308Ms", `bad -t: units: "1e308Ms" overflows float64`},
 	} {
 		_, err := ParseNamed("", "uniform", c.i, c.t)
-		if err == nil || !strings.Contains(err.Error(), "shape needs positive i and t") {
-			t.Errorf("ParseNamed(-i %s -t %s) error %v, want a positive-i-and-t rejection", c.i, c.t, err)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseNamed(-i %s -t %s) error %v, want %q", c.i, c.t, err, c.want)
 		}
 	}
 	if _, err := ParseNamed("ble", "uniform", "", ""); err != nil {

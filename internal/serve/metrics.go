@@ -97,6 +97,9 @@ type MetricsSnapshot struct {
 	BatchDeduped       uint64                      `json:"batch_deduped_total"`
 	LastPanicRequestID string                      `json:"last_panic_request_id,omitempty"`
 	VSafeCache         core.VSafeCacheStats        `json:"vsafe_cache"`
+	// VSafeBodyMemo counts /v1/vsafe bodies answered without a decode
+	// (hits) and with one (misses), and the bodies the memo holds.
+	VSafeBodyMemo BodyMemoStats `json:"vsafe_body_memo"`
 	// Sessions is the streaming tier's counter block (live sessions,
 	// evictions, slow-consumer kicks, terminals...).
 	Sessions session.Stats `json:"sessions"`

@@ -126,6 +126,7 @@ const (
 type Server struct {
 	cfg     Config
 	cache   *core.VSafeCache
+	memo    *bodyMemo
 	catalog *partsdb.Index
 	met     *metrics
 	mux     *http.ServeMux
@@ -217,6 +218,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
+		memo:    newBodyMemo(cache.Stats().Capacity),
 		catalog: partsdb.DefaultIndex(),
 		met:     newMetrics(endpointNames),
 		mux:     http.NewServeMux(),
@@ -403,6 +405,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.ShardID = s.cfg.ShardID
 	snap.TopologyEpoch = s.topoEpoch.Load()
 	snap.Sessions = s.sessions.Stats()
+	snap.VSafeBodyMemo = s.memo.stats()
 	return snap
 }
 
@@ -588,15 +591,14 @@ func (s *Server) api(name string, fn func(ctx context.Context, r *http.Request) 
 // request" for metrics classification.
 const statusClientClosed = 499
 
-// estimate answers /v1/vsafe: route the resolved request through the
-// server's cache under its key, answer bit-identically to the library
-// path. The load is sampled only on a miss. Batch elements take the same
-// cache through estimateBatch.
-func (s *Server) estimate(ctx context.Context, re resolvedEstimate) (EstimateResponse, error) {
+// estimate answers /v1/vsafe from the server's cache under the request's
+// key, bit-identically to the library path. sample supplies the trace only
+// on a miss. Batch elements take the same cache through estimateBatch.
+func (s *Server) estimate(ctx context.Context, m core.PowerModel, traceFP uint64, sample func() load.Trace) (EstimateResponse, error) {
 	if err := ctx.Err(); err != nil {
 		return EstimateResponse{}, err
 	}
-	return estimateResponse(s.cache.PGKeyed(ctx, re.model, re.key.trace, re.load.sample))
+	return estimateResponse(s.cache.PGKeyed(ctx, m, traceFP, sample))
 }
 
 // estimateResponse maps an Algorithm 1 outcome onto the wire shape, shared
@@ -610,16 +612,45 @@ func estimateResponse(est core.Estimate, err error) (EstimateResponse, error) {
 	return EstimateResponse{VSafe: est.VSafe, VDelta: est.VDelta, VE: est.VE}, nil
 }
 
+// handleVSafe reads the body into the pooled decoder buffer and looks it
+// up in the body memo. A body seen before is not decoded: its recorded
+// model and cache key go straight to the cache, and only if that lookup
+// misses does the buffer decode again to supply the trace. Any other body
+// takes the full path, and is recorded once it has decoded and resolved.
 func (s *Server) handleVSafe(ctx context.Context, r *http.Request) (any, error) {
-	var req VSafeRequest
-	if err := decodeRequest(r, maxBodyBytes, &req); err != nil {
-		return nil, err
+	d := getDecoder()
+	defer d.release()
+	if err := d.read(r.Body, r.ContentLength, maxBodyBytes); err != nil {
+		return nil, specErrorf("decode: %v", err)
 	}
-	re, err := resolveEstimate(req, s.catalog)
+	bk := s.memo.key(d.body)
+	if e, ok := s.memo.get(bk); ok {
+		return s.estimate(ctx, e.model, e.key.trace, func() load.Trace {
+			re, err := s.resolveVSafe(d)
+			if err != nil || re.key != e.key {
+				// Two bodies share a seeded 128-bit hash: fail this
+				// computation rather than cache one body's answer
+				// under the other's key.
+				panic(fmt.Sprintf("serve: body memo collision (%v)", err))
+			}
+			return re.load.sample()
+		})
+	}
+	re, err := s.resolveVSafe(d)
 	if err != nil {
 		return nil, err
 	}
-	return s.estimate(ctx, re)
+	s.memo.put(bk, memoEntry{model: re.model, key: re.key})
+	return s.estimate(ctx, re.model, re.key.trace, re.load.sample)
+}
+
+// resolveVSafe decodes and resolves the /v1/vsafe body d holds.
+func (s *Server) resolveVSafe(d *decoder) (resolvedEstimate, error) {
+	var req VSafeRequest
+	if err := d.decode(d.body, &req); err != nil {
+		return resolvedEstimate{}, specErrorf("decode: %v", err)
+	}
+	return resolveEstimate(req, s.catalog)
 }
 
 func (s *Server) handleVSafeR(ctx context.Context, r *http.Request) (any, error) {

@@ -551,6 +551,10 @@ func TestMetricsDocument(t *testing.T) {
 	if m.VSafeCache.Hits < 1 || m.VSafeCache.Misses < 1 {
 		t.Errorf("cache stats %+v, want at least one hit and one miss", m.VSafeCache)
 	}
+	// The repeat is a body-memo hit; the first body and the junk are misses.
+	if want := (BodyMemoStats{Hits: 1, Misses: 2, Entries: 1}); m.VSafeBodyMemo != want {
+		t.Errorf("vsafe_body_memo %+v, want %+v", m.VSafeBodyMemo, want)
+	}
 	if m.InFlight != 0 || m.QueueDepth != 0 {
 		t.Errorf("idle gauges in_flight=%d queue_depth=%d, want 0/0", m.InFlight, m.QueueDepth)
 	}

@@ -104,9 +104,6 @@ func (g Grammar[K, F]) values(kind K, rest string, hasRest bool) (map[string]flo
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad value for %s: %v", kind, key, err)
 		}
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("%s: %s must be finite", kind, key)
-		}
 		if _, dup := kv[key]; dup {
 			return nil, fmt.Errorf("%s: duplicate key %q", kind, key)
 		}

@@ -98,7 +98,9 @@ func FormatW(v float64) string   { return Format(v, "W") }
 
 // Parse parses a value with an optional SI prefix and unit suffix, e.g.
 // "45mF", "10ms", "50mA", "2.4V", "10Ω", "120u". The unit letters themselves
-// are ignored; only the prefix scales the value.
+// are ignored; only the prefix scales the value. The result is always
+// finite: a number or a prefixed value beyond float64's range, such as
+// "1e308M", is an error.
 func Parse(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -152,6 +154,9 @@ func Parse(s string) (float64, error) {
 	}
 	if strings.HasPrefix(suffix, "µ") {
 		v *= Micro
+	}
+	if math.IsInf(v, 0) {
+		return 0, fmt.Errorf("units: %q overflows float64", s)
 	}
 	return v, nil
 }

@@ -39,10 +39,33 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "   ", "V", "abc", "--3"} {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q): expected error", in)
+	for _, in := range []string{"", "   ", "V", "abc", "--3", "1e400", "1e308M", "-1e308MF", "2e305k", "1.8e308"} {
+		if v, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) = %g, expected error", in, v)
 		}
+	}
+}
+
+// TestParseRangeEdges: the largest values a prefix can scale stay finite
+// and parse; one step further is an error, not an infinity.
+func TestParseRangeEdges(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want float64
+	}{
+		{"1.7976931348623157e308", math.MaxFloat64},
+		{"1.7e302M", 1.7e308},
+		{"1e-300p", 1e-312},
+		{"-1e302M", -1e308},
+	} {
+		got, err := Parse(c.in)
+		if err != nil || !RelEqual(got, c.want, 1e-12) {
+			t.Errorf("Parse(%q) = %g, %v; want %g", c.in, got, err, c.want)
+		}
+	}
+	_, err := Parse("1e308M")
+	if err == nil || err.Error() != `units: "1e308M" overflows float64` {
+		t.Errorf("Parse(1e308M) error %v, want an overflow error", err)
 	}
 }
 
