@@ -163,7 +163,7 @@ func simulate(ctx context.Context, stdout, stderr io.Writer, p params) error {
 	rec := trace.NewRecorder(p.every)
 	res := sys.Run(task, powersys.RunOptions{
 		HarvestPower: p.harvest,
-		Recorder:     rec,
+		OnStep:       powersys.RecordTo(rec),
 		SkipRebound:  !p.rebound,
 		Fast:         p.fast, // best-effort: the recorder forces exact stepping
 	})

@@ -85,7 +85,7 @@ func Estimate(k Kind, h *harness.Harness, task load.Profile) float64 {
 
 	case CatnapSlow:
 		rec := trace.NewRecorder(1)
-		res := h.RunAt(cfg.VHigh, task, powersys.RunOptions{Recorder: rec})
+		res := h.RunAt(cfg.VHigh, task, powersys.RunOptions{OnStep: powersys.RecordTo(rec)})
 		// Voltage 2 ms after the task completed: partway up the rebound.
 		s, ok := rec.At(task.Duration() + 2e-3)
 		vEnd := res.VEndImmediate

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"os"
 	"runtime"
@@ -305,26 +304,16 @@ type rewindBody struct{ *bytes.Reader }
 
 func (rewindBody) Close() error { return nil }
 
-// noisyTrace draws n samples shaped like vsafe-hot's raw-trace uploads: a
-// sleep floor with a few bursts and ±5% noise, at full float64 precision.
-// It draws the same trace as internal/serve's BenchmarkDecodeVSafeTrace.
-func noisyTrace(n int) []float64 {
-	r := rand.New(rand.NewPCG(1, uint64(n)))
-	s := make([]float64, n)
-	floor := 0.5e-3 + 2.5e-3*r.Float64()
-	for i := range s {
-		s[i] = floor
-	}
-	for b := 1 + r.IntN(4); b > 0; b-- {
-		at, width, amp := r.IntN(n), 50+r.IntN(n/2), 5e-3+25e-3*r.Float64()
-		for i := at; i < at+width && i < n; i++ {
-			s[i] += amp
-		}
-	}
-	for i := range s {
-		s[i] *= 1 + 0.05*(2*r.Float64()-1)
-	}
-	return s
+// traceBody is the /v1/vsafe body the decode/vsafe-trace-2500 and
+// vsafe/trace-hit-2500 rows post: a 2,500-sample load.NoisyTrace on a
+// catalogue part, the body internal/serve's BenchmarkDecodeVSafeTrace and
+// BenchmarkVSafeTraceHit time. Both packages pin its sha256
+// (TestTraceBodySHA256).
+func traceBody() ([]byte, error) {
+	return json.Marshal(api.VSafeRequest{
+		Power: api.PowerSpec{Part: "supercapacitor-0000", BankC: 0.045},
+		Load:  api.LoadSpec{Samples: load.NoisyTrace(2500)},
+	})
 }
 
 // sweepOnce runs the end-to-end workload serially: brute-force ground truth
@@ -516,10 +505,7 @@ func Collect() (*Report, error) {
 
 	// --- micro: a /v1/vsafe body carrying a 2,500-sample raw trace through
 	// culpeod's request decoder, the decode stage of vsafe-hot's uploads.
-	body, err := json.Marshal(api.VSafeRequest{
-		Power: api.PowerSpec{Part: "supercapacitor-0000", BankC: 0.045},
-		Load:  api.LoadSpec{Samples: noisyTrace(2500)},
-	})
+	body, err := traceBody()
 	if err != nil {
 		return nil, err
 	}

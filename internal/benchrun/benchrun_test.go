@@ -1,6 +1,8 @@
 package benchrun
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -296,5 +298,20 @@ func TestReadRejectsMalformedFile(t *testing.T) {
 	}
 	if _, err := Read(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("Read accepted a missing file")
+	}
+}
+
+// TestTraceBodySHA256 pins the body the decode/vsafe-trace-2500 and
+// vsafe/trace-hit-2500 rows post. internal/serve pins the same hash on
+// the body its BenchmarkDecodeVSafeTrace times, so the artifact rows and
+// the go benchmarks cannot drift apart silently.
+func TestTraceBodySHA256(t *testing.T) {
+	body, err := traceBody()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "3b89e029f10df3bc65193daef0d93e2c126ff5b791972ef528a54b09670f7965"
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("trace body sha256 %x (%d bytes), want %s", sum, len(body), want)
 	}
 }

@@ -61,7 +61,7 @@ func MeasureESRAt(cfg powersys.Config, width, iTest float64) (float64, error) {
 	sys.Monitor().Force(true)
 	rec := trace.NewRecorder(1)
 	res := sys.Run(load.Uniform{ID: "esr-probe", ILoad: iTest, TPulse: width},
-		powersys.RunOptions{Recorder: rec})
+		powersys.RunOptions{OnStep: powersys.RecordTo(rec)})
 	if !res.Completed {
 		return 0, fmt.Errorf("charact: probe pulse (%.3g A, %.3g s) browned out — lower the test current", iTest, width)
 	}
@@ -123,7 +123,7 @@ func MeasureEfficiencyAt(cfg powersys.Config, v, iTest float64) (float64, error)
 	}
 	rec := trace.NewRecorder(1)
 	res := sys.Run(load.Uniform{ID: "eff-probe", ILoad: iTest, TPulse: 5e-3},
-		powersys.RunOptions{Recorder: rec, SkipRebound: true})
+		powersys.RunOptions{OnStep: powersys.RecordTo(rec), SkipRebound: true})
 	if !res.Completed {
 		return 0, fmt.Errorf("charact: efficiency probe browned out at %g V", v)
 	}

@@ -644,13 +644,6 @@ func (p *Pool) probeSuspects(ctx context.Context) {
 	}
 }
 
-// ProbeNow synchronously probes every suspect backend once — the hook a
-// topology-aware router (internal/shard) uses to drive readmission on its
-// own cadence. A shard the router has stopped sending to never advances
-// the pool's call counter, so ProbeEvery alone would leave it ejected
-// forever; the router calls ProbeNow instead.
-func (p *Pool) ProbeNow(ctx context.Context) { p.probeSuspects(ctx) }
-
 // ProbeAll synchronously probes every backend, healthy or not. Healthy
 // backends that stay healthy produce no events; the point is to detect
 // draining (which only /healthz reveals — a draining culpeod still answers

@@ -89,7 +89,6 @@ func ADCBitsSweep(ctx context.Context) ([]ADCBitsRow, error) {
 	}
 	return sweep.Map(ctx, []int{6, 8, 10, 12, 14}, func(_ context.Context, _ int, bits int) (ADCBitsRow, error) {
 		sys := h.NewSystem()
-		sys.Monitor().Force(true)
 		probe := profiler.NewUArchProbe(sys.VTerm)
 		probe.Block.ADC.Bits = bits
 		est, err := profiler.REstimate(model, sys, probe, task, 0)
@@ -146,7 +145,6 @@ func ISRPeriodSweep(ctx context.Context) ([]ISRPeriodRow, error) {
 	periods := []float64{0.1e-3, 0.25e-3, 0.5e-3, 1e-3, 2e-3, 5e-3}
 	return sweep.Map(ctx, periods, func(_ context.Context, _ int, period float64) (ISRPeriodRow, error) {
 		sys := h.NewSystem()
-		sys.Monitor().Force(true)
 		probe := profiler.NewISRProbe(sys.VTerm)
 		probe.Period = period
 		obs, res := profiler.ProfileRun(sys, probe, task, 0)

@@ -32,7 +32,7 @@ func Fig1b() (Fig1bResult, error) {
 	}
 	sys.Monitor().Force(true)
 	rec := trace.NewRecorder(8)
-	res := sys.Run(load.LoRa(), powersys.RunOptions{Recorder: rec})
+	res := sys.Run(load.LoRa(), powersys.RunOptions{OnStep: powersys.RecordTo(rec)})
 	out := Fig1bResult{
 		VBefore: res.VStart,
 		VMin:    res.VMin,

@@ -46,7 +46,6 @@ func ReprofileCtx(ctx context.Context) ([]ReprofileRow, error) {
 
 	profileAt := func(harvest float64) (float64, error) {
 		sys := h.NewSystem()
-		sys.Monitor().Force(true)
 		est, err := profiler.REstimate(model, sys, profiler.NewISRProbe(sys.VTerm), task, harvest)
 		if err != nil {
 			return 0, err

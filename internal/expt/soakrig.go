@@ -150,13 +150,9 @@ func (r *libraryRef) simulate(p load.Profile, fast bool) (api.SimulateResponse, 
 	if err != nil {
 		return api.SimulateResponse{}, err
 	}
-	if err := sys.ChargeTo(cfg.VHigh); err != nil {
+	if err := sys.PrepareAt(cfg.VHigh); err != nil {
 		return api.SimulateResponse{}, err
 	}
-	if err := sys.DischargeTo(cfg.VHigh); err != nil {
-		return api.SimulateResponse{}, err
-	}
-	sys.Monitor().Force(true)
 	res := sys.Run(p, powersys.RunOptions{SkipRebound: true, Fast: fast})
 	resp := api.SimulateResponse{
 		Completed:   res.Completed,

@@ -55,12 +55,14 @@ func cloneCfg(cfg powersys.Config) powersys.Config {
 }
 
 // NewSystem returns a fresh, isolated system charged to V_high with the
-// output booster armed.
+// output booster forced on. DischargeTo keeps the monitor state, so a
+// caller may lower the start voltage and still launch.
 func (h *Harness) NewSystem() *powersys.System {
 	sys := h.system()
 	if err := sys.ChargeTo(h.cfg.VHigh); err != nil {
 		panic(err)
 	}
+	sys.Monitor().Force(true)
 	return sys
 }
 

@@ -214,49 +214,3 @@ func (bs *BatchSystem) laneOptions(l int, opt BatchOptions) RunOptions {
 		Fast:           sc.Fast,
 	}
 }
-
-// runCompiledFast is runFast with the segment scan replaced by the
-// compiled schedule. Bookkeeping matches runFast exactly.
-func (s *System) runCompiledFast(cp *CompiledProfile, opt RunOptions) RunResult {
-	dt := s.cfg.DT
-	res := RunResult{VStart: s.terminalAtRest(), VMin: math.Inf(1)}
-
-	k := 0
-	for si := 0; si < len(cp.segs); si++ {
-		if err := opt.canceled(); err != nil {
-			return s.abort(res, float64(k)*dt, err)
-		}
-		// runFast splits segments on the demanded current with the
-		// baseline added, so neighbours the baseline rounds together merge.
-		iLoad := cp.segs[si].i + opt.Baseline
-		ticks := cp.segs[si].ticks
-		for si+1 < len(cp.segs) && cp.segs[si+1].i+opt.Baseline == iLoad {
-			si++
-			ticks += cp.segs[si].ticks
-		}
-		adv := s.advanceSegment(iLoad, opt.HarvestPower, ticks, &res)
-		k += adv.ticks
-		if adv.failed {
-			res.PowerFailed = true
-			res.Err = ErrBrownout
-			if adv.diverged {
-				res.Err = ErrDiverged
-			}
-			res.FailTime = s.t
-			res.Duration = float64(k) * dt
-			res.VEndImmediate = s.lastVT
-			res.VFinal = s.lastVT
-			return res
-		}
-	}
-	res.Completed = true
-	res.Duration = cp.dur
-	res.VEndImmediate = s.lastVT
-
-	if opt.SkipRebound {
-		res.VFinal = res.VEndImmediate
-		return res
-	}
-	res.VFinal = s.reboundFast(opt)
-	return res
-}

@@ -36,30 +36,48 @@ const (
 
 // fastEligible reports whether this run may use the analytic segment
 // advance. Fault injectors perturb state per tick (active fault windows),
-// and Recorder/OnStep observers need every tick, so those runs keep the
-// exact stepper.
+// and an OnStep observer needs every tick, so those runs keep the exact
+// stepper.
 func (s *System) fastEligible(opt RunOptions) bool {
-	return s.inject == nil && opt.Recorder == nil && opt.OnStep == nil
+	return s.inject == nil && opt.OnStep == nil
 }
 
-// runFast is Run's fast path. It scans the profile for runs of ticks with
-// identical demanded current — sampling p.Current on exactly the tick grid
-// the exact loop uses — and advances each segment with advanceSegment.
+// runFast is Run's fast path. It walks the profile's runs of ticks with
+// identical demanded current and advances each with advanceSegment. A
+// *CompiledProfile compiled on this system's DT supplies its runs from the
+// schedule; any other profile is scanned as it goes, sampling p.Current on
+// exactly the tick grid the exact loop uses. Both walks split on the
+// demanded current with the baseline added, so the result is bit-identical.
 func (s *System) runFast(p load.Profile, opt RunOptions) RunResult {
 	dt := s.cfg.DT
 	res := RunResult{VStart: s.terminalAtRest(), VMin: math.Inf(1)}
 
+	var segs []profSeg
+	if cp, ok := p.(*CompiledProfile); ok && cp.dt == dt {
+		segs = cp.segs
+	}
 	dur := p.Duration()
 	steps := int(math.Ceil(dur / dt))
-	k := 0
+	k, si := 0, 0
 	for k < steps {
 		if err := opt.canceled(); err != nil {
 			return s.abort(res, float64(k)*dt, err)
 		}
-		iLoad := p.Current(float64(k)*dt) + opt.Baseline
-		end := k + 1
-		for end < steps && p.Current(float64(end)*dt)+opt.Baseline == iLoad {
-			end++
+		var iLoad float64
+		var end int
+		if segs != nil {
+			iLoad = segs[si].i + opt.Baseline
+			end = k + segs[si].ticks
+			// Merge the neighbours the baseline rounds together.
+			for si++; si < len(segs) && segs[si].i+opt.Baseline == iLoad; si++ {
+				end += segs[si].ticks
+			}
+		} else {
+			iLoad = p.Current(float64(k)*dt) + opt.Baseline
+			end = k + 1
+			for end < steps && p.Current(float64(end)*dt)+opt.Baseline == iLoad {
+				end++
+			}
 		}
 		adv := s.advanceSegment(iLoad, opt.HarvestPower, end-k, &res)
 		k += adv.ticks

@@ -150,8 +150,8 @@ func TestFastCompiledMatchesSource(t *testing.T) {
 	}
 }
 
-// TestFastFallsBackWithObservers: Recorder/OnStep runs must take the exact
-// path even with Fast set, tick for tick.
+// TestFastFallsBackWithObservers: OnStep runs must take the exact path
+// even with Fast set, tick for tick.
 func TestFastFallsBackWithObservers(t *testing.T) {
 	task := load.NewUniform(30e-3, 5e-3)
 	ticks := 0

@@ -394,15 +394,14 @@ type RunOptions struct {
 	// ReboundTimeout bounds how long to wait for the rebound to settle
 	// after the load ends. 0 = 1 s.
 	ReboundTimeout float64
-	// Recorder, when non-nil, receives every step.
-	Recorder *trace.Recorder
 	// Baseline is an extra constant current drawn for the entire run on top
 	// of the profile (e.g. MCU active current or profiling ADC current).
 	Baseline float64
 	// SkipRebound skips the post-load settle phase (VFinal = VEndImmediate).
 	SkipRebound bool
 	// OnStep, when non-nil, observes every integration step (profilers use
-	// this to sample the terminal voltage like an ADC would).
+	// this to sample the terminal voltage like an ADC would; RecordTo
+	// adds each step to a trace.Recorder).
 	OnStep func(StepInfo)
 	// Ctx, when non-nil, lets long simulations be abandoned mid-run: the
 	// steppers poll it every ctxCheckInterval ticks (and the fast path per
@@ -417,9 +416,19 @@ type RunOptions struct {
 	// result tracks the exact stepper to within a millivolt on every
 	// reported voltage with identical completion/brownout verdicts (see
 	// TestFastEquivalence). The option is best-effort: runs that need
-	// per-tick observation (Recorder, OnStep) or carry a fault injector
+	// per-tick observation (OnStep) or carry a fault injector
 	// fall back to the exact stepper, which remains the default.
 	Fast bool
+}
+
+// RecordTo returns an OnStep hook that adds every step to rec.
+func RecordTo(rec *trace.Recorder) func(StepInfo) {
+	return func(info StepInfo) {
+		rec.Add(trace.Sample{
+			T: info.T, VTerm: info.VTerm, VOC: info.VOC,
+			ILoad: info.ILoad, IIn: info.IIn,
+		})
+	}
 }
 
 // ctxCheckInterval is how many exact ticks elapse between RunOptions.Ctx
@@ -460,9 +469,6 @@ func (s *System) abort(res RunResult, t float64, err error) RunResult {
 // is bit-identical to running the source profile.
 func (s *System) Run(p load.Profile, opt RunOptions) RunResult {
 	if opt.Fast && s.fastEligible(opt) {
-		if cp, ok := p.(*CompiledProfile); ok && cp.dt == s.cfg.DT {
-			return s.runCompiledFast(cp, opt)
-		}
 		return s.runFast(p, opt)
 	}
 	dt := s.cfg.DT
@@ -483,12 +489,6 @@ func (s *System) Run(p load.Profile, opt RunOptions) RunResult {
 		res.EnergyUsed += e0 - s.cfg.Storage.TotalEnergy()
 		if opt.OnStep != nil {
 			opt.OnStep(info)
-		}
-		if opt.Recorder != nil {
-			opt.Recorder.Add(trace.Sample{
-				T: info.T, VTerm: info.VTerm, VOC: info.VOC,
-				ILoad: info.ILoad, IIn: info.IIn,
-			})
 		}
 		if info.VTerm < res.VMin {
 			res.VMin = info.VTerm
@@ -538,12 +538,6 @@ func (s *System) Rebound(opt RunOptions) float64 {
 		info := s.Step(load.SleepCurrent, opt.HarvestPower)
 		if opt.OnStep != nil {
 			opt.OnStep(info)
-		}
-		if opt.Recorder != nil {
-			opt.Recorder.Add(trace.Sample{
-				T: info.T, VTerm: info.VTerm, VOC: info.VOC,
-				ILoad: info.ILoad, IIn: info.IIn,
-			})
 		}
 		if i%window == window-1 {
 			if math.Abs(info.VTerm-prev) < 50e-6 {

@@ -179,7 +179,7 @@ func TestRunCompletesAtHighVoltage(t *testing.T) {
 func TestRunRecordsTrace(t *testing.T) {
 	s := newTestSystem(t, 1.5)
 	rec := trace.NewRecorder(1)
-	res := s.Run(load.NewUniform(10e-3, 5e-3), RunOptions{Recorder: rec, SkipRebound: true})
+	res := s.Run(load.NewUniform(10e-3, 5e-3), RunOptions{OnStep: RecordTo(rec), SkipRebound: true})
 	if !res.Completed {
 		t.Fatal("run failed")
 	}

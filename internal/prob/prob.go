@@ -96,13 +96,9 @@ func CompletionProb(cfg powersys.Config, d TaskDist, vStart float64, n int, seed
 		if err != nil {
 			return 0, err
 		}
-		if err := sys.ChargeTo(c.VHigh); err != nil {
+		if err := sys.PrepareAt(vStart); err != nil {
 			return 0, err
 		}
-		if err := sys.DischargeTo(vStart); err != nil {
-			return 0, err
-		}
-		sys.Monitor().Force(true)
 		res := sys.Run(task, powersys.RunOptions{SkipRebound: true})
 		if res.Completed && res.VMin >= c.VOff {
 			ok++

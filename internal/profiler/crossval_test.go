@@ -60,7 +60,6 @@ func TestSafetyMatrix(t *testing.T) {
 					t.Errorf("PG unsafe on %s: %g vs %g", task.Name(), pgEst.VSafe, gt)
 				}
 				sys := h.NewSystem()
-				sys.Monitor().Force(true)
 				rEst, err := REstimate(model, sys, NewISRProbe(sys.VTerm), task, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -110,7 +109,6 @@ func TestChainCompositionMatchesSimulatedChain(t *testing.T) {
 		var reqs []core.TaskReq
 		for ti, task := range chain {
 			sys := h.NewSystem()
-			sys.Monitor().Force(true)
 			est, err := REstimate(model, sys, NewISRProbe(sys.VTerm), task, 0)
 			if err != nil {
 				t.Fatal(err)

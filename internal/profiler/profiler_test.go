@@ -61,7 +61,6 @@ func profileAt(t *testing.T, h *harness.Harness, mk func(src func() float64) Sam
 	if err := sys.DischargeTo(vStart); err != nil {
 		t.Fatal(err)
 	}
-	sys.Monitor().Force(true)
 	s := mk(sys.VTerm)
 	return ProfileRun(sys, s, task, 0)
 }
@@ -168,7 +167,6 @@ func TestREstimateSafety(t *testing.T) {
 			{"uarch", func(src func() float64) Sampler { return NewUArchProbe(src) }},
 		} {
 			sys := h.NewSystem()
-			sys.Monitor().Force(true)
 			est, err := REstimate(model, sys, mk.f(sys.VTerm), task, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", task.Name(), mk.name, err)
@@ -189,7 +187,6 @@ func TestREstimateFailedRunFallsBack(t *testing.T) {
 	if err := sys.DischargeTo(1.65); err != nil {
 		t.Fatal(err)
 	}
-	sys.Monitor().Force(true)
 	est, err := REstimate(model, sys, NewISRProbe(sys.VTerm), load.LoRa(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -45,16 +45,24 @@ func TestPow10Table(t *testing.T) {
 	}
 	if *updatePow10 {
 		var b bytes.Buffer
-		b.WriteString(`// Code generated by "go test -run TestPow10Table -update"; DO NOT EDIT.
+		fmt.Fprintf(&b, `// Code generated by "go test -run TestPow10Table -update"; DO NOT EDIT.
 
 package serve
 
-// pow10Tab[e-pow10Min] is the 128-bit mantissa of 10^e, normalised to
-// its top bit and rounded down, as {high word, low word}. It is static
-// data: building it at start-up with math/big would cost every process
-// the time and the heap.
+// pow10Tab[e-pow10Min] is the 128-bit mantissa of 10^e for e in
+// [%d, %d], normalised to its top bit and rounded down, as {high word,
+// low word}. It is static data: building it at start-up with math/big
+// would cost every process the time and the heap.
+//
+// To change the range, set pow10Min and pow10Max in atof.go, replace this
+// file with the stub
+//
+//	var pow10Tab = [pow10Max - pow10Min + 1][2]uint64{}
+//
+// (the old literal no longer compiles at a new size), then rerun the
+// command above.
 var pow10Tab = [pow10Max - pow10Min + 1][2]uint64{
-`)
+`, pow10Min, pow10Max)
 		for e := pow10Min; e <= pow10Max; e++ {
 			w := entry(e)
 			fmt.Fprintf(&b, "\t{0x%016x, 0x%016x}, // 1e%d\n", w[0], w[1], e)
@@ -126,8 +134,41 @@ var hardFloats = []string{
 	"1.e5", "1x", "1.5 ", "00", "", "e5", "-e5", "0x10", "inf", "NaN", "1_0",
 }
 
+// tableEdgeFloats renders numbers whose scanned mantissa meets pow10Tab's
+// edges — decimal exponent pow10Min-1, pow10Min, pow10Max and pow10Max+1 —
+// with 17, 19 and 23 significant digits (the last truncated to 19 by the
+// scan), written as integers and with a decimal point, of either sign.
+func tableEdgeFloats() []string {
+	var out []string
+	for _, e := range []int{pow10Min - 1, pow10Min, pow10Max, pow10Max + 1} {
+		for _, digits := range []string{"12345678901234567", "9876543210987654321", "31415926535897932384626"} {
+			// The scan keeps maxMantDigits digits and moves the exponent
+			// past the rest.
+			dropped := max(len(digits)-maxMantDigits, 0)
+			out = append(out,
+				fmt.Sprintf("%se%d", digits, e-dropped),
+				fmt.Sprintf("-%s.%se%+d", digits[:1], digits[1:], e-dropped+len(digits)-1))
+		}
+	}
+	return out
+}
+
+// TestParseFloatTableEdges checks that pow10Tab's edges are where
+// Eisel–Lemire hands over to strconv; FuzzParseFloat's tableEdgeFloats
+// seeds hold atof to strconv on either side of them.
+func TestParseFloatTableEdges(t *testing.T) {
+	for e, inside := range map[int]bool{pow10Min - 1: false, pow10Min: true, pow10Max: true, pow10Max + 1: false} {
+		if _, ok := eiselLemire(12345678901234567, e, false); ok != inside {
+			t.Errorf("eiselLemire at 1e%d: ok=%v, want %v", e, ok, inside)
+		}
+	}
+}
+
 func FuzzParseFloat(f *testing.F) {
 	for _, s := range hardFloats {
+		f.Add([]byte(s))
+	}
+	for _, s := range tableEdgeFloats() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) { checkParseFloat(t, b) })

@@ -2,10 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -134,7 +135,7 @@ func serveBodies(f *testing.F) []string {
 		out = append(out, mustMarshal(f, VSafeRequest{Load: specForProfile(f, p)}))
 	}
 	out = append(out,
-		mustMarshal(f, VSafeRequest{Power: PowerSpec{Part: "supercapacitor-0000", BankC: 0.045}, Load: LoadSpec{Samples: hotTrace(64)}}),
+		mustMarshal(f, VSafeRequest{Power: PowerSpec{Part: "supercapacitor-0000", BankC: 0.045}, Load: LoadSpec{Samples: load.NoisyTrace(64)}}),
 		mustMarshal(f, api.StreamOpenRequest{Device: "dev-rt", Ring: 4, Replay: []api.StreamObservation{mkStreamObs(1), mkStreamObs(9)}}),
 		mustMarshal(f, api.StreamObsRequest{Device: "dev-rt", Observations: []api.StreamObservation{mkStreamObs(2)}, Close: true}),
 	)
@@ -390,29 +391,6 @@ func TestStreamOpenOverCap(t *testing.T) {
 	}
 }
 
-// hotTrace draws n samples shaped like vsafe-hot's raw-trace keys: a sleep
-// floor with a few bursts and ±5% noise, at full float64 precision.
-// internal/benchrun's noisyTrace draws the same trace for the artifact's
-// decode/vsafe-trace-2500 row.
-func hotTrace(n int) []float64 {
-	r := rand.New(rand.NewPCG(1, uint64(n)))
-	s := make([]float64, n)
-	floor := 0.5e-3 + 2.5e-3*r.Float64()
-	for i := range s {
-		s[i] = floor
-	}
-	for b := 1 + r.IntN(4); b > 0; b-- {
-		at, width, amp := r.IntN(n), 50+r.IntN(n/2), 5e-3+25e-3*r.Float64()
-		for i := at; i < at+width && i < n; i++ {
-			s[i] += amp
-		}
-	}
-	for i := range s {
-		s[i] *= 1 + 0.05*(2*r.Float64()-1)
-	}
-	return s
-}
-
 // traceRequest is a reusable POST of body: resetting rd rewinds it
 // without allocating, so an allocation count sees only the decode.
 type traceRequest struct {
@@ -430,8 +408,20 @@ func newTraceRequest(body []byte) traceRequest {
 func hotTraceBody(tb testing.TB) []byte {
 	return []byte(mustMarshal(tb, VSafeRequest{
 		Power: PowerSpec{Part: "supercapacitor-0000", BankC: 0.045},
-		Load:  LoadSpec{Samples: hotTrace(2500)},
+		Load:  LoadSpec{Samples: load.NoisyTrace(2500)},
 	}))
+}
+
+// TestTraceBodySHA256 pins hotTraceBody. internal/benchrun pins the same
+// hash on the body its decode/vsafe-trace-2500 and vsafe/trace-hit-2500
+// rows post, so those rows time what BenchmarkDecodeVSafeTrace and
+// BenchmarkVSafeTraceHit time.
+func TestTraceBodySHA256(t *testing.T) {
+	const want = "3b89e029f10df3bc65193daef0d93e2c126ff5b791972ef528a54b09670f7965"
+	body := hotTraceBody(t)
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("trace body sha256 %x (%d bytes), want %s", sum, len(body), want)
+	}
 }
 
 func BenchmarkDecodeVSafeTrace(b *testing.B) {

@@ -54,9 +54,6 @@ func Of(n int) Grid { return NewGrid(n) }
 // Size returns the number of cells.
 func (g Grid) Size() int { return g.size }
 
-// Dims returns the dimension extents.
-func (g Grid) Dims() []int { return append([]int(nil), g.dims...) }
-
 // Coords converts a flat cell index to per-dimension coordinates.
 func (g Grid) Coords(index int) []int {
 	out := make([]int, len(g.dims))
@@ -70,7 +67,7 @@ func (g Grid) Coords(index int) []int {
 // Cell identifies one unit of work inside a grid.
 type Cell struct {
 	Index  int   // flat index in [0, grid.Size())
-	Coords []int // per-dimension coordinates, len == len(grid.Dims())
+	Coords []int // per-dimension coordinates, one per NewGrid extent
 }
 
 // options collects per-call tuning.

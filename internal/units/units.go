@@ -87,14 +87,12 @@ func Format(v float64, unit string) string {
 	return str + p + unit
 }
 
-// FormatV, FormatA, FormatOhm, FormatF, FormatS, FormatW are convenience
-// wrappers for the most common quantities.
-func FormatV(v float64) string   { return Format(v, "V") }
+// FormatA, FormatOhm, FormatF and FormatS are convenience wrappers for
+// the most common quantities.
 func FormatA(v float64) string   { return Format(v, "A") }
 func FormatOhm(v float64) string { return Format(v, "Ω") }
 func FormatF(v float64) string   { return Format(v, "F") }
 func FormatS(v float64) string   { return Format(v, "s") }
-func FormatW(v float64) string   { return Format(v, "W") }
 
 // Parse parses a value with an optional SI prefix and unit suffix, e.g.
 // "45mF", "10ms", "50mA", "2.4V", "10Ω", "120u". The unit letters themselves
