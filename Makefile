@@ -47,22 +47,24 @@ soak:
 
 # Zero-alloc guards for the simulator hot loop, the Algorithm 1 lane
 # kernel, the V_safe cache hit and a shape's trace key, and the allocation
-# bounds on load.Sample, the request decoder and a /v1/vsafe body-memo hit
+# bounds on a miss resumed from the trailing-run memo, load.Sample, the
+# request decoder and a /v1/vsafe body-memo hit
 # (testing.AllocsPerRun needs a non-race build, so this runs alongside
 # `race` rather than inside it).
 alloc:
 	$(GO) test ./internal/powersys -run 'AllocFree' -count=1
-	$(GO) test ./internal/core -run 'AllocFree' -count=1
+	$(GO) test ./internal/core -run 'AllocFree|TailHitAllocs' -count=1
 	$(GO) test ./internal/load -run 'TestSampleAllocs' -count=1
 	$(GO) test ./internal/serve -run 'TestDecodeVSafeTraceAllocs|TestBodyMemoHitAllocs' -count=1
 
 # The Algorithm 1 parity tests (lane kernel vs VSafePG by Float64bits, the
-# batch cache path, the copy-free widest pulse) once more on GOAMD64=v3.
+# batch cache path, walks resumed from the trailing-run memo, the
+# copy-free widest pulse) once more on GOAMD64=v3.
 # The Go spec lets a compiler fuse x*y+z into one FMA; v3 makes FMA
 # available, so this is where a fusion applied to one walk and not the
 # other would show.
 pg-v3:
-	GOAMD64=v3 $(GO) test ./internal/core ./internal/load -run 'Lanes|VSafeCacheBatch|TraceWidestPulse' -count=1
+	GOAMD64=v3 $(GO) test ./internal/core ./internal/load -run 'Lanes|VSafeCacheBatch|Tail|TraceWidestPulse' -count=1
 
 # The batch wall: every batch lane bitwise against its scalar run on the
 # same stepper (exact and fast lanes, mixed retirements, wrapped profiles,

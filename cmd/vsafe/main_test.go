@@ -61,6 +61,15 @@ func TestClamp(t *testing.T) {
 // TestRealMainErrors drives the binary's error paths: each bad invocation
 // must exit non-zero with a usable message on stderr.
 func TestRealMainErrors(t *testing.T) {
+	dir := t.TempDir()
+	csv := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	ok := csv("ok.csv", "0.01\n0.02\n")
 	cases := []struct {
 		name     string
 		args     []string
@@ -80,6 +89,12 @@ func TestRealMainErrors(t *testing.T) {
 		{"bad age", []string{"-age", "1.5"}, 1, "bad -age"},
 		{"negative duration", []string{"-i", "10mA", "-t", "-5ms", "-shape", "uniform"}, 1, "shape needs positive i and t"},
 		{"zero current", []string{"-i", "0", "-t", "10ms", "-shape", "pulse"}, 1, "shape needs positive i and t"},
+		{"NaN trace rate", []string{"-trace", ok, "-rate", "NaN"}, 1, "load: sample rate NaN"},
+		{"infinite trace rate", []string{"-trace", ok, "-rate", "Inf"}, 1, "load: sample rate +Inf"},
+		{"negative trace rate", []string{"-trace", ok, "-rate", "-5"}, 1, "load: sample rate -5"},
+		{"NaN timestamp", []string{"-trace", csv("nan-time.csv", "0,0.01\nNaN,0.02\n")}, 1, "load: csv line 2: timestamp NaN"},
+		{"NaN sample", []string{"-trace", csv("nan.csv", "0.01\nNaN\n")}, 1, "load: sample 1 = NaN"},
+		{"infinite sample", []string{"-trace", csv("inf.csv", "0.01\nInf\n")}, 1, "load: sample 1 = +Inf"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

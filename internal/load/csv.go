@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,8 +19,13 @@ import (
 //     ignored unless the file has a single row).
 //
 // A header row is skipped when its first field is not numeric. Blank lines
-// and lines starting with '#' are ignored.
+// and lines starting with '#' are ignored. A rate of 0 selects
+// SampleRateDefault; a negative or non-finite rate, sample or timestamp is
+// an error, as it is for a trace culpeod decodes.
 func TraceFromCSV(r io.Reader, id string, rate float64) (Trace, error) {
+	if !(rate >= 0) || math.IsInf(rate, 0) {
+		return Trace{}, fmt.Errorf("load: sample rate %g", rate)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var samples []float64
@@ -48,6 +54,9 @@ func TraceFromCSV(r io.Reader, id string, rate float64) (Trace, error) {
 			if err != nil {
 				return Trace{}, fmt.Errorf("load: csv line %d: bad current %q", line, fields[1])
 			}
+			if math.IsNaN(first) || math.IsInf(first, 0) {
+				return Trace{}, fmt.Errorf("load: csv line %d: timestamp %g", line, first)
+			}
 			twoCol = true
 			times = append(times, first)
 			samples = append(samples, cur)
@@ -62,8 +71,8 @@ func TraceFromCSV(r io.Reader, id string, rate float64) (Trace, error) {
 		return Trace{}, fmt.Errorf("load: csv contains no samples")
 	}
 	for i, s := range samples {
-		if s < 0 {
-			return Trace{}, fmt.Errorf("load: csv sample %d negative (%g)", i, s)
+		if !(s >= 0) || math.IsInf(s, 0) {
+			return Trace{}, fmt.Errorf("load: sample %d = %g", i, s)
 		}
 	}
 	if twoCol && len(times) >= 2 {
@@ -71,9 +80,11 @@ func TraceFromCSV(r io.Reader, id string, rate float64) (Trace, error) {
 		if dt <= 0 {
 			return Trace{}, fmt.Errorf("load: csv timestamps not ascending")
 		}
-		rate = 1 / dt
+		if rate = 1 / dt; !(rate > 0) || math.IsInf(rate, 0) {
+			return Trace{}, fmt.Errorf("load: sample rate %g", rate)
+		}
 	}
-	if rate <= 0 {
+	if rate == 0 {
 		rate = SampleRateDefault
 	}
 	return Trace{ID: id, Rate: rate, Samples: samples}, nil

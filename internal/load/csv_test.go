@@ -56,11 +56,44 @@ func TestTraceFromCSVErrors(t *testing.T) {
 		"0,-0.01\n0.001,0.0\n", // negative current
 		"0,0.01\n0,0.02\n",     // non-ascending time
 		"0,abc\n",              // bad current column
+		"NaN\n",                // non-finite samples
+		"0.01\nInf\n",
+		"0,0.01\nNaN,0.02\n", // non-finite timestamps
+		"0,0.01\nInf,0.02\n",
+		"0,0.01\n5e-324,0.02\n",     // the inferred rate overflows
+		"-1e308,0.01\n1e308,0.02\n", // the interval overflows
 	}
 	for i, in := range cases {
 		if _, err := TraceFromCSV(strings.NewReader(in), "x", 1000); err == nil {
 			t.Errorf("case %d accepted: %q", i, in)
 		}
+	}
+}
+
+// TestTraceFromCSVNonFinite: a negative or non-finite rate argument and
+// non-finite samples fail with culpeod's wording for the same input; a
+// rate of 0 still selects the default.
+func TestTraceFromCSVNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		rate    float64
+		wantErr string
+	}{
+		{"0.01\n", math.NaN(), "load: sample rate NaN"},
+		{"0.01\n", math.Inf(1), "load: sample rate +Inf"},
+		{"0.01\n", -5, "load: sample rate -5"},
+		{"0.01\nNaN\n", 1000, "load: sample 1 = NaN"},
+		{"0,-Inf\n", 1000, "load: sample 0 = -Inf"},
+		{"0,0.01\nNaN,0.02\n", 1000, "load: csv line 2: timestamp NaN"},
+	} {
+		_, err := TraceFromCSV(strings.NewReader(tc.in), "x", tc.rate)
+		if err == nil || err.Error() != tc.wantErr {
+			t.Errorf("%q at rate %g: error %v, want %q", tc.in, tc.rate, err, tc.wantErr)
+		}
+	}
+	tr, err := TraceFromCSV(strings.NewReader("0.01\n"), "x", 0)
+	if err != nil || tr.Rate != SampleRateDefault {
+		t.Fatalf("rate 0: rate %g, error %v; want the default %g", tr.Rate, err, SampleRateDefault)
 	}
 }
 

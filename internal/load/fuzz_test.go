@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,9 @@ func FuzzTraceFromCSV(f *testing.F) {
 		"0,-1\n",
 		strings.Repeat("0.001\n", 100),
 		"0,0.01\n0,0.02\n",
+		"NaN\n",
+		"Inf\n",
+		"0,0.01\nNaN,0.02\n",
 	} {
 		f.Add(seed)
 	}
@@ -27,15 +31,15 @@ func FuzzTraceFromCSV(f *testing.F) {
 		if len(tr.Samples) == 0 {
 			t.Fatal("accepted trace with no samples")
 		}
-		if tr.Rate <= 0 {
+		if !(tr.Rate > 0) || math.IsInf(tr.Rate, 0) {
 			t.Fatalf("accepted trace with rate %g", tr.Rate)
 		}
 		for i, v := range tr.Samples {
-			if v < 0 {
-				t.Fatalf("accepted negative sample %d = %g", i, v)
+			if !(v >= 0) || math.IsInf(v, 0) {
+				t.Fatalf("accepted sample %d = %g", i, v)
 			}
 		}
-		if tr.Duration() <= 0 {
+		if !(tr.Duration() > 0) {
 			t.Fatal("accepted zero-duration trace")
 		}
 	})

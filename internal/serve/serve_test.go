@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -517,6 +518,47 @@ func mustGet(t *testing.T, url string) *http.Response {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 	return resp
+}
+
+// TestMetricsTailMemo: /metrics' vsafe_cache block carries the trailing-run
+// memo's counters, and a pulse miss under a model whose compute tail the
+// memo already holds adds exactly one tail hit and answers what the
+// library answers, bit for bit.
+func TestMetricsTailMemo(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tails := func() map[string]float64 {
+		t.Helper()
+		var doc struct {
+			Cache map[string]float64 `json:"vsafe_cache"`
+		}
+		resp := mustGet(t, ts.URL+"/metrics")
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return map[string]float64{"tail_hits": doc.Cache["tail_hits"], "tail_misses": doc.Cache["tail_misses"], "tail_entries": doc.Cache["tail_entries"]}
+	}
+	estimate := func(i, dur float64) {
+		t.Helper()
+		body, err := json.Marshal(VSafeRequest{Load: LoadSpec{Shape: "pulse", I: i, T: dur}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decodeResp[EstimateResponse](t, postJSON(t, ts.URL+"/v1/vsafe", json.RawMessage(body)), http.StatusOK)
+		want := libraryAnswer(t, body)
+		if math.Float64bits(got.VSafe) != math.Float64bits(want.VSafe) || math.Float64bits(got.VDelta) != math.Float64bits(want.VDelta) ||
+			math.Float64bits(got.VE) != math.Float64bits(want.VE) {
+			t.Fatalf("pulse %g A, %g s: served %+v, library %+v", i, dur, got, want)
+		}
+	}
+	estimate(10e-3, 10e-3)
+	if got, want := tails(), map[string]float64{"tail_hits": 0, "tail_misses": 1, "tail_entries": 1}; !maps.Equal(got, want) {
+		t.Fatalf("after the first pulse: %v, want %v", got, want)
+	}
+	estimate(20e-3, 30e-3) // the same 12,500-sample compute tail
+	if got, want := tails(), map[string]float64{"tail_hits": 1, "tail_misses": 1, "tail_entries": 1}; !maps.Equal(got, want) {
+		t.Fatalf("after the second pulse: %v, want %v", got, want)
+	}
 }
 
 // TestMetricsDocument drives traffic of each outcome class and checks the
