@@ -331,6 +331,43 @@ func sweepOnce(h *harness.Harness, pg profiler.PG, tasks []load.Profile) error {
 	return nil
 }
 
+// suite records Collect's rows into rep. The first failed row's error is
+// kept in err and skips every later row, so Collect checks it once.
+type suite struct {
+	rep *Report
+	err error
+}
+
+// row measures body under bestOf, records it as name and returns its ns/op.
+// body runs b.N iterations and returns the first error it meets.
+func (s *suite) row(name string, body func(b *testing.B) error) float64 {
+	if s.err != nil {
+		return 0
+	}
+	r := bestOf(benchReps, func(b *testing.B) {
+		if err := body(b); err != nil {
+			if s.err == nil {
+				s.err = err
+			}
+			b.Fatal(err)
+		}
+	})
+	if s.err != nil {
+		return 0
+	}
+	rec := record(name, r)
+	s.rep.Benchmarks = append(s.rep.Benchmarks, rec)
+	return rec.NsPerOp
+}
+
+// speedup is base/fast, or 0 when fast recorded no time.
+func speedup(base, fast float64) float64 {
+	if fast > 0 {
+		return base / fast
+	}
+	return 0
+}
+
 // Collect runs the benchmark suite and assembles the report. It takes on the
 // order of half a minute: each measurement self-calibrates to roughly one
 // second of steady-state iteration and repeats benchReps times.
@@ -342,20 +379,21 @@ func Collect() (*Report, error) {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
+	s := &suite{rep: rep}
 
 	// --- calibration: a serial FP multiply-add chain (the same dependency
 	// shape as the stepper's hot loop) whose cost is a machine-speed probe,
 	// not a measurement of anything in this repo.
-	rep.Benchmarks = append(rep.Benchmarks, record(CalibrationName,
-		bestOf(benchReps, func(b *testing.B) {
-			x := 1.0
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 4096; j++ {
-					x = x*1.0000001 + float64(j&7)
-				}
+	s.row(CalibrationName, func(b *testing.B) error {
+		x := 1.0
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 4096; j++ {
+				x = x*1.0000001 + float64(j&7)
 			}
-			calSink = x
-		})))
+		}
+		calSink = x
+		return nil
+	})
 
 	// --- micro: one exact simulation step, both node-solver paths.
 	single, err := powersys.New(powersys.Capybara())
@@ -363,12 +401,12 @@ func Collect() (*Report, error) {
 		return nil, err
 	}
 	single.Monitor().Force(true)
-	rep.Benchmarks = append(rep.Benchmarks, record("step/single-branch",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				single.Step(10e-3, 1e-3)
-			}
-		})))
+	s.row("step/single-branch", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			single.Step(10e-3, 1e-3)
+		}
+		return nil
+	})
 
 	net, err := capacitor.NewNetwork(
 		&capacitor.Branch{Name: "main", C: 45e-3, ESR: 5, Voltage: 2.4},
@@ -384,12 +422,12 @@ func Collect() (*Report, error) {
 		return nil, err
 	}
 	multi.Monitor().Force(true)
-	rep.Benchmarks = append(rep.Benchmarks, record("step/multi-branch",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				multi.Step(10e-3, 1e-3)
-			}
-		})))
+	s.row("step/multi-branch", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			multi.Step(10e-3, 1e-3)
+		}
+		return nil
+	})
 
 	// --- micro: 64 scenarios on the fast path, one-by-one on the source
 	// profiles versus one batch of fast lanes. Both sides re-prepare (charge
@@ -403,105 +441,85 @@ func Collect() (*Report, error) {
 			return nil, err
 		}
 	}
-	var batchErr error
-	scalarRes := bestOf(benchReps, func(b *testing.B) {
+	scalarNs := s.row("step/scalar-64", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			for j, sc := range scens {
 				sys := scalarSys[j]
 				if err := sys.PrepareAt(sc.VStart); err != nil {
-					batchErr = err
-					b.Fatal(err)
+					return err
 				}
 				if res := sys.Run(sc.Profile, powersys.RunOptions{Fast: true, SkipRebound: true}); res.Err != nil {
-					batchErr = res.Err
-					b.Fatal(res.Err)
+					return res.Err
 				}
 			}
 		}
+		return nil
 	})
-	if batchErr != nil {
-		return nil, batchErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("step/scalar-64", scalarRes))
 
 	bs, err := powersys.NewBatch(base, scens)
 	if err != nil {
 		return nil, err
 	}
-	batchRes := bestOf(benchReps, func(b *testing.B) {
+	batchNs := s.row("step/batch-64", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			bs.Reset()
 			for _, res := range bs.Run(powersys.BatchOptions{SkipRebound: true}) {
 				if res.Err != nil {
-					batchErr = res.Err
-					b.Fatal(res.Err)
+					return res.Err
 				}
 			}
 		}
+		return nil
 	})
-	if batchErr != nil {
-		return nil, batchErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("step/batch-64", batchRes))
-	scalarNs := float64(scalarRes.T.Nanoseconds()) / float64(scalarRes.N)
-	batchNs := float64(batchRes.T.Nanoseconds()) / float64(batchRes.N)
-	if batchNs > 0 {
-		rep.BatchSpeedup = scalarNs / batchNs
-	}
+	rep.BatchSpeedup = speedup(scalarNs, batchNs)
 
 	// --- micro: Algorithm 1 direct versus memoized (warm line).
 	model := profiler.ModelFor(powersys.Capybara())
 	tr := load.Sample(load.LoRa(), load.SampleRateDefault)
-	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/pg-direct",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.VSafePG(model, tr); err != nil {
-					b.Fatal(err)
-				}
+	s.row("vsafe/pg-direct", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.VSafePG(model, tr); err != nil {
+				return err
 			}
-		})))
+		}
+		return nil
+	})
 	// --- micro: 24 distinct misses, as a /v1/batch of fresh keys brings
 	// them: one by one through VSafePG, then in lockstep lanes.
 	jobs := pgJobs24(model)
-	pgScalarRes := bestOf(benchReps, func(b *testing.B) {
+	pgScalarNs := s.row("vsafe/pg-scalar-24", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			for _, jb := range jobs {
 				if _, err := core.VSafePG(jb.Model, jb.Trace); err != nil {
-					b.Fatal(err)
+					return err
 				}
 			}
 		}
+		return nil
 	})
-	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/pg-scalar-24", pgScalarRes))
-	var lanesErr error
-	pgLanesRes := bestOf(benchReps, func(b *testing.B) {
+	pgLanesNs := s.row("vsafe/pg-lanes-24", func(b *testing.B) (first error) {
 		for i := 0; i < b.N; i++ {
 			core.VSafePGLanes(len(jobs), func(j int) core.PGJob { return jobs[j] }, func(_ int, _ core.Estimate, err error) {
-				if err != nil {
-					lanesErr = err
+				if err != nil && first == nil {
+					first = err
 				}
 			})
 		}
+		return first
 	})
-	if lanesErr != nil {
-		return nil, lanesErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/pg-lanes-24", pgLanesRes))
-	if lanesNs := float64(pgLanesRes.T.Nanoseconds()) / float64(pgLanesRes.N); lanesNs > 0 {
-		rep.LanesSpeedup = float64(pgScalarRes.T.Nanoseconds()) / float64(pgScalarRes.N) / lanesNs
-	}
+	rep.LanesSpeedup = speedup(pgScalarNs, pgLanesNs)
 	warm := core.NewVSafeCache(8)
 	if _, err := warm.PG(model, tr); err != nil {
 		return nil, err
 	}
-	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/pg-cached",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := warm.PG(model, tr); err != nil {
-					b.Fatal(err)
-				}
+	s.row("vsafe/pg-cached", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			if _, err := warm.PG(model, tr); err != nil {
+				return err
 			}
-		})))
+		}
+		return nil
+	})
 
 	// --- micro: a /v1/vsafe body carrying a 2,500-sample raw trace through
 	// culpeod's request decoder, the decode stage of vsafe-hot's uploads.
@@ -509,27 +527,22 @@ func Collect() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var decodeErr error
 	rd := bytes.NewReader(body)
 	req, err := http.NewRequest(http.MethodPost, "/v1/vsafe", io.NopCloser(rd))
 	if err != nil {
 		return nil, err
 	}
 	req.ContentLength = int64(len(body))
-	rep.Benchmarks = append(rep.Benchmarks, record("decode/vsafe-trace-2500",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rd.Reset(body)
-				var v api.VSafeRequest
-				if err := serve.DecodeRequest(req, &v); err != nil {
-					decodeErr = err
-					b.Fatal(err)
-				}
+	s.row("decode/vsafe-trace-2500", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			var v api.VSafeRequest
+			if err := serve.DecodeRequest(req, &v); err != nil {
+				return err
 			}
-		})))
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
+		}
+		return nil
+	})
 	// --- micro: that body posted to /v1/vsafe over and over through
 	// culpeod's in-process handler. Every post after the first is a
 	// body-memo hit and a cache hit: no decode, no trace key.
@@ -547,18 +560,14 @@ func Collect() (*Report, error) {
 	if err := post(); err != nil {
 		return nil, err
 	}
-	var hitErr error
-	rep.Benchmarks = append(rep.Benchmarks, record("vsafe/trace-hit-2500",
-		bestOf(benchReps, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if hitErr = post(); hitErr != nil {
-					b.Fatal(hitErr)
-				}
+	s.row("vsafe/trace-hit-2500", func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			if err := post(); err != nil {
+				return err
 			}
-		})))
-	if hitErr != nil {
-		return nil, hitErr
-	}
+		}
+		return nil
+	})
 	if m := srv.Metrics().VSafeBodyMemo; m.Misses != 1 {
 		return nil, fmt.Errorf("benchrun: repeated trace upload missed the body memo: %+v", m)
 	}
@@ -570,19 +579,14 @@ func Collect() (*Report, error) {
 		return nil, err
 	}
 	exactPG := profiler.PG{Model: model, NoCache: true}
-	var sweepErr error
-	exactRes := bestOf(benchReps, func(b *testing.B) {
+	exactNs := s.row("sweep/exact-uncached", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			if err := sweepOnce(exactH, exactPG, tasks); err != nil {
-				sweepErr = err
-				b.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	})
-	if sweepErr != nil {
-		return nil, sweepErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("sweep/exact-uncached", exactRes))
 
 	fastH, err := harness.New(powersys.Capybara())
 	if err != nil {
@@ -597,26 +601,18 @@ func Collect() (*Report, error) {
 	if err := sweepOnce(fastH, fastPG, tasks); err != nil {
 		return nil, err
 	}
-	fastRes := bestOf(benchReps, func(b *testing.B) {
+	fastNs := s.row("sweep/fast-warm-cache", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			if err := sweepOnce(fastH, fastPG, tasks); err != nil {
-				sweepErr = err
-				b.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	})
-	if sweepErr != nil {
-		return nil, sweepErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("sweep/fast-warm-cache", fastRes))
 
 	st := cache.Stats()
 	rep.VSafeCache = CacheStats{Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate()}
-	exactNs := float64(exactRes.T.Nanoseconds()) / float64(exactRes.N)
-	fastNs := float64(fastRes.T.Nanoseconds()) / float64(fastRes.N)
-	if fastNs > 0 {
-		rep.FastPathSpeedup = exactNs / fastNs
-	}
+	rep.FastPathSpeedup = speedup(exactNs, fastNs)
 
 	// --- miss path: a chained ground-truth sweep over a fine current
 	// ladder, the regime the sweep drivers hit, on the fast stepper.
@@ -630,21 +626,16 @@ func Collect() (*Report, error) {
 		grid = append(grid, load.NewPulse(ma*1e-3, 1e-3))
 	}
 	ctx := context.Background()
-	var missErr error
-	coldSweepRes := bestOf(benchReps, func(b *testing.B) {
+	s.row("misspath/sweep-cold", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			for _, task := range grid {
 				if _, err := gtH.GroundTruthCtx(ctx, task, 0); err != nil {
-					missErr = err
-					b.Fatal(err)
+					return err
 				}
 			}
 		}
+		return nil
 	})
-	if missErr != nil {
-		return nil, missErr
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("misspath/sweep-cold", coldSweepRes))
 
 	// --- miss path: a same-key miss storm — every caller wants the same
 	// uncached estimate at once, the shape a popular new spec produces at
@@ -653,9 +644,9 @@ func Collect() (*Report, error) {
 	// one leader and the rest wait on its singleflight, so wall clock is
 	// one computation. The storm oversubscribes the cores 8x.
 	storm := 8 * runtime.GOMAXPROCS(0)
-	var stormErr atomic.Value
-	runStorm := func(fn func() error) {
+	runStorm := func(fn func() error) error {
 		var wg sync.WaitGroup
+		var stormErr atomic.Value
 		for g := 0; g < storm; g++ {
 			wg.Add(1)
 			go func() {
@@ -666,36 +657,35 @@ func Collect() (*Report, error) {
 			}()
 		}
 		wg.Wait()
+		err, _ := stormErr.Load().(error)
+		return err
 	}
-	directRes := bestOf(benchReps, func(b *testing.B) {
+	directNs := s.row("misspath/miss-direct", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
-			runStorm(func() error {
+			if err := runStorm(func() error {
 				_, err := core.VSafePG(model, tr)
 				return err
-			})
+			}); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
-	if err, ok := stormErr.Load().(error); ok {
-		return nil, err
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("misspath/miss-direct", directRes))
-	coalescedRes := bestOf(benchReps, func(b *testing.B) {
+	coalescedNs := s.row("misspath/miss-coalesced", func(b *testing.B) error {
 		for i := 0; i < b.N; i++ {
 			missCache := core.NewVSafeCache(4) // fresh per iteration: every storm is cache-cold
-			runStorm(func() error {
+			if err := runStorm(func() error {
 				_, err := missCache.PG(model, tr)
 				return err
-			})
+			}); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
-	if err, ok := stormErr.Load().(error); ok {
-		return nil, err
-	}
-	rep.Benchmarks = append(rep.Benchmarks, record("misspath/miss-coalesced", coalescedRes))
-	directNs := float64(directRes.T.Nanoseconds()) / float64(directRes.N)
-	coalescedNs := float64(coalescedRes.T.Nanoseconds()) / float64(coalescedRes.N)
-	if coalescedNs > 0 {
-		rep.CoalesceSpeedup = directNs / coalescedNs
+	rep.CoalesceSpeedup = speedup(directNs, coalescedNs)
+	if s.err != nil {
+		return nil, s.err
 	}
 
 	if err := rep.Validate(); err != nil {

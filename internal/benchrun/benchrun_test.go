@@ -3,6 +3,7 @@ package benchrun
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -313,5 +314,25 @@ func TestTraceBodySHA256(t *testing.T) {
 	const want = "3b89e029f10df3bc65193daef0d93e2c126ff5b791972ef528a54b09670f7965"
 	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("trace body sha256 %x (%d bytes), want %s", sum, len(body), want)
+	}
+}
+
+// TestSuiteRowKeepsFirstError: a row whose body fails records nothing and
+// hands its error to Collect, and every later row is skipped.
+func TestSuiteRowKeepsFirstError(t *testing.T) {
+	s := &suite{rep: &Report{}}
+	boom := errors.New("boom")
+	if ns := s.row("fails", func(*testing.B) error { return boom }); ns != 0 {
+		t.Errorf("failed row returned %v ns/op, want 0", ns)
+	}
+	s.row("later", func(*testing.B) error {
+		t.Error("a row ran after an earlier row failed")
+		return nil
+	})
+	if s.err != boom {
+		t.Errorf("suite error = %v, want %v", s.err, boom)
+	}
+	if len(s.rep.Benchmarks) != 0 {
+		t.Errorf("recorded %d rows, want none", len(s.rep.Benchmarks))
 	}
 }

@@ -131,7 +131,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig6(t *testing.T) {
-	rows, err := Fig6()
+	rows, err := Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFig12Short(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sims are seconds-long")
 	}
-	rows, err := Fig12(context.Background(), Fig12Opts{Horizon: 60, Trials: 1})
+	rows, err := Fig12(context.Background(), Opts{Horizon: 60, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFig13Short(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sims are seconds-long")
 	}
-	rows, err := Fig13(context.Background(), Fig12Opts{Horizon: 60, Trials: 1})
+	rows, err := Fig13(context.Background(), Opts{Horizon: 60, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestESRLossSweep(t *testing.T) {
 }
 
 func TestReprofile(t *testing.T) {
-	rows, err := Reprofile()
+	rows, err := Reprofile(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,15 +24,12 @@ type Fig6Row struct {
 }
 
 // Fig6 evaluates the three energy-only estimators on the six pulse+compute
-// loads of Figure 6.
-func Fig6() ([]Fig6Row, error) { return Fig6Ctx(context.Background()) }
-
-// Fig6Ctx is Fig6 with the context-carried execution knobs (WithFast,
+// loads of Figure 6, under the context-carried execution knobs (WithFast,
 // sweep.WithWorkers). Each load is one sweep cell: the cell finds the
 // brute-force ground truth and scores the three estimators against it on
 // cell-private power systems, so the output does not depend on the worker
 // count.
-func Fig6Ctx(ctx context.Context) ([]Fig6Row, error) {
+func Fig6(ctx context.Context) ([]Fig6Row, error) {
 	h, err := harness.New(powersys.Capybara())
 	if err != nil {
 		return nil, err

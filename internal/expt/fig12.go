@@ -25,12 +25,6 @@ type Fig12Row struct {
 // Trials is the paper's trial count per configuration.
 const Trials = 3
 
-// Fig12Opts tunes the experiment (benchmarks use a shorter horizon).
-type Fig12Opts struct {
-	Horizon float64 // 0 = apps.DefaultHorizon (300 s)
-	Trials  int     // 0 = Trials
-}
-
 // fig12Policies returns the two scheduler constructors compared throughout
 // the application experiments.
 func fig12Policies() []func(app apps.App) sched.Policy {
@@ -61,7 +55,7 @@ func fig12Trial(app apps.App, mk func(apps.App) sched.Policy, trial int, horizon
 // trial grid runs on the sweep pool; every cell is one independent device
 // simulation, and the per-stream accumulation happens afterwards in cell
 // order (addition commutes, so the totals equal the serial path's).
-func Fig12(ctx context.Context, opt Fig12Opts) ([]Fig12Row, error) {
+func Fig12(ctx context.Context, opt Opts) ([]Fig12Row, error) {
 	horizon := opt.Horizon
 	if horizon <= 0 {
 		horizon = apps.DefaultHorizon
@@ -153,7 +147,7 @@ type Fig13Row struct {
 
 // Fig13 sweeps PS and RR over the slow/achievable/too-fast regimes. The
 // rate × app × policy × trial grid runs on the sweep pool.
-func Fig13(ctx context.Context, opt Fig12Opts) ([]Fig13Row, error) {
+func Fig13(ctx context.Context, opt Opts) ([]Fig13Row, error) {
 	horizon := opt.Horizon
 	if horizon <= 0 {
 		horizon = apps.DefaultHorizon

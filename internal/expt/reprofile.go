@@ -27,14 +27,11 @@ type ReprofileRow struct {
 // Reprofile walks a long compute task through falling harvest regimes. The
 // estimate profiled under strong harvest under-reserves once the power
 // drops (stale → unsafe); the Section V-B policy — re-profile when the
-// change detector fires — tracks the truth.
-func Reprofile() ([]ReprofileRow, error) { return ReprofileCtx(context.Background()) }
-
-// ReprofileCtx is Reprofile with the context-carried execution knobs
-// (WithFast, sweep.WithWorkers). Each regime's ground-truth search and
-// fresh profile run as one sweep cell; the change detector, which is
-// stateful, then walks the regimes in order.
-func ReprofileCtx(ctx context.Context) ([]ReprofileRow, error) {
+// change detector fires — tracks the truth. It honours the context-carried
+// execution knobs (WithFast, sweep.WithWorkers): each regime's ground-truth
+// search and fresh profile run as one sweep cell; the change detector,
+// which is stateful, then walks the regimes in order.
+func Reprofile(ctx context.Context) ([]ReprofileRow, error) {
 	cfg := powersys.Capybara()
 	h, err := harness.New(cfg)
 	if err != nil {
